@@ -181,42 +181,6 @@ ShardedRun RunShardedLoad(bool parallel) {
     return run;
 }
 
-// --- Part 4: ring sub-shards ------------------------------------------
-
-/**
- * A single pod's six rings as sub-shard slices under the same
- * open-loop load, lock-step vs the work-stealing executor pool. This
- * is the configuration whole-pod sharding cannot parallelise at all
- * (one pod = one shard); per-ring slices are what let it scale.
- */
-ShardedRun RunSubShardLoad(bool parallel) {
-    service::FederationTestbed::Config config;
-    config.pod_count = 1;
-    config.pod.ring_count = 6;
-    config.pod.fabric.device.configure_time = Milliseconds(5);
-    config.sharding.enabled = true;
-    config.sharding.ring_subshards = true;
-    config.sharding.parallel = parallel;
-    service::FederationTestbed bed(config);
-    ShardedRun run;
-    if (!bed.DeployAndSettle()) return run;
-    service::FederatedOpenLoopInjector::Config load;
-    load.rate_qps = 60'000.0;
-    load.duration = Milliseconds(160);
-    load.arrival_batch = 8;
-    service::FederatedOpenLoopInjector injector(&bed.dispatcher(),
-                                                &bed.simulator(), Rng(43),
-                                                load);
-    injector.set_group(bed.group());
-    run.deployed = true;
-    const bench::WallTimer timer;
-    run.load = injector.Run();
-    run.wall_ms = timer.Ms();
-    run.completed = bed.dispatcher().counters().completed;
-    run.failovers = bed.dispatcher().counters().failovers;
-    return run;
-}
-
 }  // namespace
 
 int main() {
@@ -338,63 +302,13 @@ int main() {
         ok = false;
     }
 
-    std::printf("\nRing sub-shards: 1 pod / 6 rings as slices, open-loop "
-                "60k QPS x 160 ms, lock-step vs worker threads\n");
-    const ShardedRun sub_lockstep = RunSubShardLoad(/*parallel=*/false);
-    const ShardedRun sub_threaded = RunSubShardLoad(/*parallel=*/true);
-    if (!sub_lockstep.deployed || !sub_threaded.deployed ||
-        sub_lockstep.completed == 0) {
-        std::printf("FAIL: sub-sharded federation run did not complete\n");
-        return 1;
-    }
-    const double sub_speedup = sub_threaded.wall_ms > 0.0
-                                   ? sub_lockstep.wall_ms /
-                                         sub_threaded.wall_ms
-                                   : 0.0;
-    bench::Row({"mode", "wall_ms", "completed", "mean_us", "p99_us"});
-    bench::Row({"lockstep", bench::Fmt(sub_lockstep.wall_ms, 1),
-                bench::FmtInt(
-                    static_cast<long long>(sub_lockstep.completed)),
-                bench::Fmt(sub_lockstep.load.latency_us.mean(), 1),
-                bench::Fmt(sub_lockstep.load.latency_us.P99(), 1)});
-    bench::Row({"parallel", bench::Fmt(sub_threaded.wall_ms, 1),
-                bench::FmtInt(
-                    static_cast<long long>(sub_threaded.completed)),
-                bench::Fmt(sub_threaded.load.latency_us.mean(), 1),
-                bench::Fmt(sub_threaded.load.latency_us.P99(), 1)});
-    std::printf("[subshard_speedup] %.2f (cores=%u)\n", sub_speedup, cores);
-    if (sub_lockstep.completed != sub_threaded.completed ||
-        sub_lockstep.load.timeouts != sub_threaded.load.timeouts ||
-        sub_lockstep.load.rejected != sub_threaded.load.rejected ||
-        sub_lockstep.load.latency_us.samples() !=
-            sub_threaded.load.latency_us.samples()) {
-        std::printf("FAIL: sub-sharded parallel run diverged from "
-                    "lock-step (completed %llu vs %llu)\n",
-                    static_cast<unsigned long long>(sub_lockstep.completed),
-                    static_cast<unsigned long long>(sub_threaded.completed));
-        ok = false;
-    }
-    // Same hardware-aware gate as the 4-pod part: single-core runners
-    // report only; multi-core runners must show that slicing the one
-    // pod actually buys parallelism.
-    if (cores >= 4 && sub_speedup < 1.5) {
-        std::printf("FAIL: sub-shard speedup %.2fx < 1.5x on %u cores\n",
-                    sub_speedup, cores);
-        ok = false;
-    } else if (cores >= 2 && cores < 4 && sub_speedup < 1.1) {
-        std::printf("FAIL: sub-shard speedup %.2fx < 1.1x on %u cores\n",
-                    sub_speedup, cores);
-        ok = false;
-    }
-
     if (!ok) return 1;
     std::printf("PASS: 3 pods sustain %.2fx one pod; blackout retained "
                 "%.1f%% QPS, %d/%d accepted queries completed, %llu "
-                "failover(s); parallel federation %.2fx and ring "
-                "sub-shards %.2fx on %u core(s)\n",
+                "failover(s); parallel federation %.2fx on %u core(s)\n",
                 three_pod / one_pod, 100.0 * retained, blackout.ok,
                 blackout.accepted,
                 static_cast<unsigned long long>(blackout.failovers),
-                speedup, sub_speedup, cores);
+                speedup, cores);
     return 0;
 }

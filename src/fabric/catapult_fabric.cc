@@ -39,10 +39,10 @@ void CatapultFabric::Build(Rng& rng) {
     for (int i = 0; i < n; ++i) {
         for (const Port port : {Port::kEast, Port::kSouth}) {
             const int j = config_.topology.NeighborOf(i, port);
-            // A 1-wide dimension (ring-slice fabrics are 1x8) folds a
-            // node onto itself; routing never takes that dimension, so
-            // skip the degenerate self-cable instead of wiring a shell
-            // link back into its own node.
+            // A 1-wide dimension (the stage loopback's 1x2 fabric)
+            // folds a node onto itself; routing never takes that
+            // dimension, so skip the degenerate self-cable instead of
+            // wiring a shell link back into its own node.
             if (j == i) continue;
             const Port far = shell::Opposite(port);
             CableLink cable{i, port, j, far, false};

@@ -71,35 +71,34 @@ void FpgaDevice::ConfigureFromFlash(FlashSlot slot,
     const bool was_active = state_ == DeviceState::kActive;
     TransitionTo(was_active ? DeviceState::kReconfiguring
                             : DeviceState::kConfiguring);
-    const std::uint64_t epoch = ++config_epoch_;
-    simulator_->ScheduleAfter(
-        config_.configure_time,
-        [this, slot, epoch, cb = std::move(on_done)]() mutable {
-            if (epoch != config_epoch_) return;  // superseded
-            FinishConfiguration(slot, std::move(cb));
-        });
+    // A configuration already in flight is superseded, and its callers
+    // now wait on this one: each on_done fires exactly once, when the
+    // configuration that owns the fabric settles.
+    config_waiters_.push_back(std::move(on_done));
+    ScheduleFinish(slot);
 }
 
-void FpgaDevice::FinishConfiguration(FlashSlot slot,
-                                     std::function<void(bool)> on_done) {
+void FpgaDevice::ScheduleFinish(FlashSlot slot) {
+    const std::uint64_t epoch = ++config_epoch_;
+    simulator_->ScheduleAfter(config_.configure_time, [this, slot, epoch] {
+        if (epoch != config_epoch_) return;  // superseded
+        FinishConfiguration(slot);
+    });
+}
+
+void FpgaDevice::FinishConfiguration(FlashSlot slot) {
     if (state_ == DeviceState::kFailed) {
-        on_done(false);
+        SettleConfiguration(false);
         return;
     }
     if (rng_.Chance(config_.config_failure_probability)) {
         LOG_WARN("fpga") << name_ << ": configuration CRC failure, retrying";
-        const std::uint64_t epoch = ++config_epoch_;
-        simulator_->ScheduleAfter(
-            config_.configure_time,
-            [this, slot, epoch, cb = std::move(on_done)]() mutable {
-                if (epoch != config_epoch_) return;
-                FinishConfiguration(slot, std::move(cb));
-            });
+        ScheduleFinish(slot);
         return;
     }
     const auto image = flash_.ReadImage(slot);
     if (!image.has_value()) {
-        on_done(false);
+        SettleConfiguration(false);
         return;
     }
     loaded_image_ = *image;
@@ -107,7 +106,14 @@ void FpgaDevice::FinishConfiguration(FlashSlot slot,
     scrubber_.ClearPendingUpsets();
     scrubber_.Start();
     TransitionTo(DeviceState::kActive);
-    on_done(true);
+    SettleConfiguration(true);
+}
+
+void FpgaDevice::SettleConfiguration(bool ok) {
+    // Taken before the calls: a callback may start the next
+    // configuration, whose callers must not be settled with this one.
+    auto waiters = std::exchange(config_waiters_, {});
+    for (auto& cb : waiters) cb(ok);
 }
 
 void FpgaDevice::ForceFail(const std::string& reason) {
@@ -116,6 +122,11 @@ void FpgaDevice::ForceFail(const std::string& reason) {
     scrubber_.Stop();
     ++config_epoch_;  // abort any in-flight configuration
     TransitionTo(DeviceState::kFailed);
+    // ...whose callers learn it failed.
+    for (auto& cb : config_waiters_) {
+        simulator_->ScheduleAfter(0, [cb = std::move(cb)] { cb(false); });
+    }
+    config_waiters_.clear();
 }
 
 void FpgaDevice::PowerCycle(std::function<void(bool)> on_done) {
@@ -129,7 +140,13 @@ void FpgaDevice::PowerCycle(std::function<void(bool)> on_done) {
         flash_.ReadImage(FlashSlot::kApplication).has_value()
             ? FlashSlot::kApplication
             : FlashSlot::kGolden;
-    ConfigureFromFlash(slot, std::move(on_done));
+    // The callers of the configuration this cycle aborted settle with
+    // the cycle's own configuration, even if that one fails up front.
+    auto waiters = std::exchange(config_waiters_, {});
+    waiters.push_back(std::move(on_done));
+    ConfigureFromFlash(slot, [waiters = std::move(waiters)](bool ok) mutable {
+        for (auto& cb : waiters) cb(ok);
+    });
 }
 
 double FpgaDevice::CurrentPowerWatts() const {

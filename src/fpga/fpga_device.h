@@ -79,14 +79,20 @@ class FpgaDevice {
      * through kConfiguring/kReconfiguring for configure_time, then
      * becomes Active (or retries on a modelled configuration failure).
      * Fails immediately (callback false) if the slot is empty or the
-     * image does not fit the device together with the shell.
+     * image does not fit the device together with the shell. A
+     * configuration still in flight is superseded by this one, and its
+     * callbacks fire with this one's result.
      */
     void ConfigureFromFlash(FlashSlot slot, std::function<void(bool)> on_done);
 
     /** Hard-fail the device (driven by failure injection). */
     void ForceFail(const std::string& reason);
 
-    /** Power-cycle: clears Failed, device returns via configuration. */
+    /**
+     * Power-cycle: clears Failed, device returns via configuration. A
+     * configuration in flight is aborted; its callbacks fire with the
+     * power cycle's result.
+     */
     void PowerCycle(std::function<void(bool)> on_done);
 
     /** Subscribe to state transitions. */
@@ -133,7 +139,11 @@ class FpgaDevice {
 
   private:
     void TransitionTo(DeviceState next);
-    void FinishConfiguration(FlashSlot slot, std::function<void(bool)> on_done);
+    /** Arm the configure_time completion of the current epoch. */
+    void ScheduleFinish(FlashSlot slot);
+    void FinishConfiguration(FlashSlot slot);
+    /** Fire (and clear) every callback waiting on the configuration. */
+    void SettleConfiguration(bool ok);
 
     sim::Simulator* simulator_;
     std::string name_;
@@ -155,6 +165,8 @@ class FpgaDevice {
     bool over_temperature_reported_ = false;
     std::uint64_t configurations_completed_ = 0;
     std::uint64_t config_epoch_ = 0;
+    /** Callbacks of the configuration in flight, superseded ones' too. */
+    std::vector<std::function<void(bool)>> config_waiters_;
 };
 
 }  // namespace catapult::fpga

@@ -41,14 +41,11 @@ PodContext::PodContext(sim::Simulator* simulator, Config config)
         std::make_unique<TelemetryBus>(simulator_, config_.pod_id);
     fabric_ = std::make_unique<fabric::CatapultFabric>(simulator_, rng.Fork(),
                                                        config_.fabric);
-    std::string host_prefix = config_.host_name_prefix;
-    if (host_prefix.empty()) {
-        host_prefix = "srv";
-        if (config_.pod_id > 0) {
-            host_prefix = "p";
-            host_prefix += std::to_string(config_.pod_id);
-            host_prefix += ".srv";
-        }
+    std::string host_prefix = "srv";
+    if (config_.pod_id > 0) {
+        host_prefix = "p";
+        host_prefix += std::to_string(config_.pod_id);
+        host_prefix += ".srv";
     }
     for (int i = 0; i < fabric_->node_count(); ++i) {
         hosts_storage_.push_back(std::make_unique<host::HostServer>(

@@ -22,7 +22,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -86,12 +85,6 @@ class PodContext {
          * layer.
          */
         int pod_id = 0;
-        /**
-         * Host-name prefix ("srv" / "p<k>.srv" when empty). A
-         * federation building several contexts with one pod_id — ring
-         * sub-shard slices — pins this so host names stay unique.
-         */
-        std::string host_name_prefix;
         /**
          * SimulatorGroup shard this pod's stack is pinned to, -1 when
          * the pod shares the classic single simulator. Informational:

@@ -36,14 +36,6 @@ void FederatedDispatcher::SetObservability(obs::ShardObs* obs) {
 
 FederatedDispatcher::~FederatedDispatcher() {
     for (auto& slot : pods_) {
-        for (auto& slice : slot.slices) {
-            if (slice.health_subscription >= 0) {
-                slice.context->health_monitor().RemoveFailureSubscriber(
-                    slice.health_subscription);
-            }
-            slice.context->pool().set_on_rings_available_changed(nullptr);
-        }
-        if (!slot.slices.empty()) continue;
         if (slot.health_subscription >= 0) {
             slot.context->health_monitor().RemoveFailureSubscriber(
                 slot.health_subscription);
@@ -80,9 +72,9 @@ void FederatedDispatcher::DeclareShardEdges(int shard) {
     ok = group->SetEdgeLookahead(shard, coord, binding_.completion_hop);
     assert(ok && "completion hop narrower than the edge already promised");
     (void)ok;
-    // Pods (and slices) never message each other directly — everything
-    // crosses the coordinator — so those edges are unreachable, and a
-    // shard's advance is bounded only by its real inbound paths.
+    // Pods never message each other directly — everything crosses the
+    // coordinator — so those edges are unreachable, and a shard's
+    // advance is bounded only by its real inbound paths.
     for (const int other : attached_shards_) {
         if (other == shard) return;  // re-assertion (ReadmitPod)
         group->SetEdgeLookahead(shard, other,
@@ -103,117 +95,6 @@ int FederatedDispatcher::AttachPodShard(mgmt::PodContext* pod, int shard) {
     assert(shard != binding_.coordinator_shard &&
            "a pod cannot share the coordinator shard");
     return AttachPodInternal(pod, shard);
-}
-
-int FederatedDispatcher::AttachPodSlices(const std::vector<PodSlice>& slices) {
-    assert(sharded() && "BindShardGroup first");
-    assert(!slices.empty());
-    if (pod_count() >= 64) {
-        LOG_ERROR("federation")
-            << "rotation full: 64 pods per dispatcher; pod "
-            << slices.front().context->pod_id() << " refused";
-        return -1;
-    }
-    const int index = pod_count();
-    PodSlot slot;
-    slot.context = slices.front().context;
-    slot.shard = slices.front().shard;
-    int total_nodes = 0;
-    for (const PodSlice& s : slices) {
-        assert(s.context != nullptr);
-        assert(s.shard >= 0 && s.shard < binding_.group->shard_count());
-        assert(s.shard != binding_.coordinator_shard);
-        SliceState state;
-        state.context = s.context;
-        state.shard = s.shard;
-        state.node_offset = s.node_offset;
-        state.rings_view = s.context->pool().available_rings();
-        slot.rings_view += state.rings_view;
-        total_nodes += s.context->fabric().node_count();
-        slot.slices.push_back(std::move(state));
-        DeclareShardEdges(s.shard);
-    }
-    slot.node_dead.assign(static_cast<std::size_t>(total_nodes), 0);
-    pods_.push_back(std::move(slot));
-    for (int si = 0; si < static_cast<int>(slices.size()); ++si) {
-        AttachSliceSeams(index, si);
-    }
-    return index;
-}
-
-void FederatedDispatcher::AttachSliceSeams(int pod_index, int slice_index) {
-    SliceState& slice =
-        pods_[static_cast<std::size_t>(pod_index)]
-            .slices[static_cast<std::size_t>(slice_index)];
-    mgmt::PodContext* pod = slice.context;
-    sim::SimulatorGroup* group = binding_.group;
-    const int coord = binding_.coordinator_shard;
-    const Time hop = binding_.completion_hop;
-    const int shard = slice.shard;
-    const int node_offset = slice.node_offset;
-    // Same three seams a whole-pod shard gets (health reports, score
-    // feed, ring availability), per slice, each shipped one completion
-    // hop to the coordinator. Reports remap into the logical pod's
-    // node space; scores fold into a pod-level aggregate; availability
-    // sums into the pod-level rings_view the admission check reads.
-    slice.health_subscription = pod->health_monitor().AddFailureSubscriber(
-        [this, group, coord, hop, pod_index, node_offset,
-         shard](const mgmt::MachineReport& report) {
-            mgmt::MachineReport remapped = report;
-            remapped.node += node_offset;
-            group->Post(shard, coord, group->shard(shard).Now() + hop,
-                        [this, pod_index, remapped] {
-                            ApplyMachineReport(pod_index, remapped);
-                        });
-        });
-    slice.score_subscription = pod->health_feed().SubscribeScoped(
-        [this, group, coord, hop, pod_index, slice_index,
-         shard](const mgmt::HealthScoreSample& sample) {
-            group->Post(shard, coord, group->shard(shard).Now() + hop,
-                        [this, pod_index, slice_index, sample] {
-                            OnSliceHealthSample(pod_index, slice_index,
-                                                sample);
-                        },
-                        sim::EventPriority::kDeliver, /*daemon=*/true);
-        });
-    pod->pool().set_on_rings_available_changed(
-        [this, group, coord, hop, pod_index, slice_index, shard](int rings) {
-            group->Post(shard, coord, group->shard(shard).Now() + hop,
-                        [this, pod_index, slice_index, rings] {
-                            PodSlot& slot =
-                                pods_[static_cast<std::size_t>(pod_index)];
-                            SliceState& s = slot.slices[
-                                static_cast<std::size_t>(slice_index)];
-                            slot.rings_view += rings - s.rings_view;
-                            s.rings_view = rings;
-                        });
-        });
-}
-
-void FederatedDispatcher::OnSliceHealthSample(
-    int pod_index, int slice_index, const mgmt::HealthScoreSample& sample) {
-    PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
-    SliceState& slice =
-        slot.slices[static_cast<std::size_t>(slice_index)];
-    slice.health_score = sample.score;
-    slice.band = sample.band;
-    // Pod-level aggregate: the worst slice past warm-up. A pod is only
-    // as healthy as its sickest ring — one degrading slice must pull
-    // routing weight off the whole pod the same way a degrading
-    // whole-pod score does — and while every slice is still warming
-    // the pod keeps its cold-start grace.
-    mgmt::HealthScoreSample aggregate = sample;
-    aggregate.score = 1.0;
-    aggregate.band = mgmt::HealthBand::kWarmingUp;
-    for (const SliceState& s : slot.slices) {
-        if (s.band == mgmt::HealthBand::kWarmingUp) continue;
-        if (aggregate.band == mgmt::HealthBand::kWarmingUp ||
-            s.health_score < aggregate.score) {
-            aggregate.score = s.health_score;
-            aggregate.band = s.band;
-        }
-    }
-    OnHealthSample(pod_index, aggregate);
 }
 
 int FederatedDispatcher::AttachPodInternal(mgmt::PodContext* pod, int shard) {
@@ -314,8 +195,6 @@ void FederatedDispatcher::ApplyMachineReport(
     }
     hit.node_dead[static_cast<std::size_t>(report.node)] = 1;
     ++hit.dead_nodes;
-    // The ledger spans the whole logical pod (every slice of a
-    // sub-sharded one), so the latch still means "every node gone".
     if (hit.dead_nodes >= static_cast<int>(hit.node_dead.size())) {
         if (simulator_->Now() >= hit.breaker_open_until) {
             ++counters_.breaker_trips;
@@ -363,13 +242,7 @@ void FederatedDispatcher::ReadmitPod(int index) {
     // Re-assert the pod's edge lookaheads: servicing must not have
     // shortened any hop the group already ran with (the group rejects
     // a narrowed edge; widening or re-stating the same hop is a no-op).
-    if (slot.shard >= 0) {
-        if (slot.slices.empty()) {
-            DeclareShardEdges(slot.shard);
-        } else {
-            for (const SliceState& s : slot.slices) DeclareShardEdges(s.shard);
-        }
-    }
+    if (slot.shard >= 0) DeclareShardEdges(slot.shard);
     // Breaker reset, fatal latch included: the dead-node ledger
     // restarts from zero, so a fresh fatal fault on the serviced pod
     // re-counts toward a new latch instead of inheriting the old one.
@@ -383,12 +256,6 @@ void FederatedDispatcher::ReadmitPod(int index) {
     slot.shed = false;
     slot.health_score = 1.0;
     slot.health_band = mgmt::HealthBand::kWarmingUp;
-    // Blackout-era slice scores must not poison the first post-service
-    // aggregate; each slice re-earns its band from its reset forecaster.
-    for (SliceState& s : slot.slices) {
-        s.health_score = 1.0;
-        s.band = mgmt::HealthBand::kWarmingUp;
-    }
     slot.warmup_start = now;
     slot.warmup_until = now + config_.readmission_warmup;
     ++slot.stat_readmitted;
@@ -709,65 +576,25 @@ host::SendStatus FederatedDispatcher::TryInject(
         // handled as a failover, not re-walked synchronously — the
         // admission decision here was made on a one-hop-stale view and
         // that latency is real.
-        //
-        // A sub-sharded pod adds a placement step: the query lands on
-        // the least-loaded slice whose ring is in rotation (mirror
-        // view), ties broken by a rotating cursor so light load still
-        // spreads over every ring instead of camping on slice 0 — the
-        // coordinator-side analogue of the pool's least-in-flight ring
-        // dispatch. Deterministic: cursor state lives on the
-        // coordinator shard only.
-        int slice_index = -1;
-        int target_shard = slot.shard;
-        if (!slot.slices.empty()) {
-            const int n = static_cast<int>(slot.slices.size());
-            for (int i = 0; i < n; ++i) {
-                const int si = (slot.slice_rr + i) % n;
-                const SliceState& s =
-                    slot.slices[static_cast<std::size_t>(si)];
-                if (s.rings_view <= 0) continue;
-                if (slice_index < 0 ||
-                    s.in_flight <
-                        slot.slices[static_cast<std::size_t>(slice_index)]
-                            .in_flight) {
-                    slice_index = si;
-                }
-            }
-            if (slice_index < 0) {
-                // Every slice's ring is out of rotation on the mirror:
-                // synchronous refusal, like a direct-mode pool reject —
-                // the caller walks on without spending a retry.
-                ++slot.stat_rejected;
-                return host::SendStatus::kTimeout;
-            }
-            target_shard =
-                slot.slices[static_cast<std::size_t>(slice_index)].shard;
-            slot.slice_rr = (slice_index + 1) % n;
-        }
         const std::uint64_t query_id = next_query_id_++;
         PendingInject pending;
         pending.query = query;
         pending.injected_at = injected_at;
         pending.was_probe = is_probe;
-        pending.slice = slice_index;
         pending_.emplace(query_id, std::move(pending));
         const int thread = query->thread;
         const rank::CompressedRequest request = query->request;
         binding_.group->Post(
-            binding_.coordinator_shard, target_shard,
+            binding_.coordinator_shard, slot.shard,
             injected_at + binding_.inject_hop,
-            [this, pod_index, slice_index, query_id, thread, request] {
-                PodInjectOnShard(pod_index, slice_index, query_id, thread,
-                                 request);
+            [this, pod_index, query_id, thread, request] {
+                PodInjectOnShard(pod_index, query_id, thread, request);
             });
         ++slot.in_flight;
-        if (slice_index >= 0) {
-            ++slot.slices[static_cast<std::size_t>(slice_index)].in_flight;
-        }
         if (is_probe) slot.probe_in_flight = true;
         if (query->obs_span != 0) {
             obs_->tracer.Instant("inject", query->obs_trace, query->obs_span,
-                                 0, injected_at, pod_index, slice_index);
+                                 0, injected_at, pod_index, /*a2=*/-1);
         }
         return host::SendStatus::kOk;
     }
@@ -791,24 +618,17 @@ host::SendStatus FederatedDispatcher::TryInject(
 }
 
 void FederatedDispatcher::PodInjectOnShard(
-    int pod_index, int slice_index, std::uint64_t query_id, int thread,
+    int pod_index, std::uint64_t query_id, int thread,
     const rank::CompressedRequest& request) {
-    // Runs on the pod's (or slice's) shard. Only the slot's immutable
-    // identity (context pointer, shard index) may be read here — every
-    // mutable dispatcher field belongs to the coordinator thread.
-    PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
-    mgmt::PodContext* target = slot.context;
-    int shard = slot.shard;
-    if (slice_index >= 0) {
-        const SliceState& slice =
-            slot.slices[static_cast<std::size_t>(slice_index)];
-        target = slice.context;
-        shard = slice.shard;
-    }
+    // Runs on the pod's shard. Only the slot's immutable identity
+    // (context pointer, shard index) may be read here — every mutable
+    // dispatcher field belongs to the coordinator thread.
+    const PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
+    const int shard = slot.shard;
     sim::SimulatorGroup* group = binding_.group;
     const int coord = binding_.coordinator_shard;
     const Time hop = binding_.completion_hop;
-    const auto status = target->pool().Inject(
+    const auto status = slot.context->pool().Inject(
         thread, request,
         [this, group, coord, hop, shard, pod_index,
          query_id](const ScoreResult& result) {
@@ -831,11 +651,6 @@ void FederatedDispatcher::OnShardResult(int pod_index, std::uint64_t query_id,
     if (it == pending_.end()) return;  // torn down mid-flight
     PendingInject pending = std::move(it->second);
     pending_.erase(it);
-    if (pending.slice >= 0) {
-        --pods_[static_cast<std::size_t>(pod_index)]
-              .slices[static_cast<std::size_t>(pending.slice)]
-              .in_flight;
-    }
     OnPodResult(pod_index, std::move(pending.query), pending.injected_at,
                 pending.was_probe, result);
 }
@@ -848,9 +663,6 @@ void FederatedDispatcher::OnShardReject(int pod_index,
     pending_.erase(it);
     PodSlot& slot = pods_[static_cast<std::size_t>(pod_index)];
     --slot.in_flight;
-    if (pending.slice >= 0) {
-        --slot.slices[static_cast<std::size_t>(pending.slice)].in_flight;
-    }
     if (pending.was_probe) slot.probe_in_flight = false;
     ++slot.stat_rejected;
     // A pool-level refusal is not a pod failure (no breaker input, as

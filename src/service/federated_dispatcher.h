@@ -131,10 +131,10 @@ class FederatedDispatcher {
 
     /**
      * Sharded-federation binding: the dispatcher lives on a
-     * SimulatorGroup coordinator shard and every pod (or ring slice)
-     * lives on its own shard. Cross-shard traffic — injects,
-     * completions, pod-level rejects, health telemetry — travels
-     * through the group's mailboxes with these hop latencies. Each
+     * SimulatorGroup coordinator shard and every pod lives on its own
+     * shard. Cross-shard traffic — injects, completions, pod-level
+     * rejects, health telemetry — travels through the group's
+     * mailboxes with these hop latencies. Each
      * attach declares its hops as the group's per-edge lookaheads
      * (coordinator <-> pod edges carry the real hop; pod <-> pod edges
      * are unreachable, nothing ever crosses them directly), and
@@ -164,29 +164,6 @@ class FederatedDispatcher {
      * real front door pays.
      */
     int AttachPodShard(mgmt::PodContext* pod, int shard);
-
-    /**
-     * One ring sub-shard of a logical pod: a self-contained single-ring
-     * PodContext slice on its own group shard. `node_offset` maps the
-     * slice's local node ids into the logical pod's node space, so
-     * health reports aggregate into one pod-level dead-node ledger.
-     */
-    struct PodSlice {
-        mgmt::PodContext* context = nullptr;
-        int shard = -1;
-        int node_offset = 0;
-    };
-    /**
-     * Attach one logical pod built as ring sub-shard slices. The pod
-     * joins the rotation as a single index — policy picks, admission
-     * caps, breaker, shed and warm-up all stay pod-level — and every
-     * accepted query is then placed on the least-loaded slice whose
-     * ring is in rotation (coordinator-mirrored view; ties take the
-     * lowest slice). A 1-pod/6-ring workload thus spreads over 6
-     * shards instead of serializing on one. Health scores aggregate as
-     * the worst slice past warm-up; ring availability as the sum.
-     */
-    int AttachPodSlices(const std::vector<PodSlice>& slices);
 
     /** True when BindShardGroup routed this dispatcher through mailboxes. */
     bool sharded() const { return binding_.group != nullptr; }
@@ -309,22 +286,6 @@ class FederatedDispatcher {
     void SetObservability(obs::ShardObs* obs);
 
   private:
-    /** Coordinator-side state of one attached ring sub-shard slice. */
-    struct SliceState {
-        mgmt::PodContext* context = nullptr;
-        int shard = -1;
-        /** Slice-local node 0 in the logical pod's node space. */
-        int node_offset = 0;
-        /** Dispatcher-accepted queries in flight on this slice. */
-        int in_flight = 0;
-        /** Pushed availability mirror of the slice's single ring. */
-        int rings_view = 0;
-        double health_score = 1.0;
-        mgmt::HealthBand band = mgmt::HealthBand::kWarmingUp;
-        int health_subscription = -1;
-        mgmt::HealthScoreSubscription score_subscription;
-    };
-
     struct PodSlot {
         mgmt::PodContext* context = nullptr;
         int in_flight = 0;
@@ -339,23 +300,14 @@ class FederatedDispatcher {
         bool probe_in_flight = false;
         int health_subscription = -1;
         /** Sharded mode: the group shard this pod's stack runs on (-1 =
-         *  direct; slice 0's shard for a sub-sharded pod). */
+         *  direct). */
         int shard = -1;
         /**
          * Coordinator-side proxy of the pod's available_rings(),
-         * updated by pushed availability messages (summed over slices
-         * for a sub-sharded pod). In direct mode the pool is read
-         * synchronously instead.
+         * updated by pushed availability messages. In direct mode the
+         * pool is read synchronously instead.
          */
         int rings_view = 0;
-        /**
-         * Ring sub-shard slices of this logical pod; empty for a
-         * direct-mode or whole-pod-shard attach. `context` above is
-         * slice 0's, for identity/logging.
-         */
-        std::vector<SliceState> slices;
-        /** Rotating tie-break cursor for the slice placement step. */
-        int slice_rr = 0;
         std::uint64_t fault_reports = 0;
         /** Distinct nodes flagged fatal (duplicate reports ignored). */
         std::vector<char> node_dead;
@@ -392,21 +344,19 @@ class FederatedDispatcher {
         std::uint64_t obs_parent = 0;
     };
 
+    /** One mailbox-mode inject awaiting its pod's verdict. */
+    struct PendingInject {
+        std::shared_ptr<QueryContext> query;
+        Time injected_at = 0;
+        bool was_probe = false;
+    };
+
     /**
      * Policy pick among eligible pods, skipping indices whose bit is
      * set in `tried` (pods are capped at 64 per dispatcher so the
      * per-query tried-set stays an allocation-free bitmask). Returns
      * -1 when nothing fits.
      */
-    /** One mailbox-mode inject awaiting its pod's verdict. */
-    struct PendingInject {
-        std::shared_ptr<QueryContext> query;
-        Time injected_at = 0;
-        bool was_probe = false;
-        /** Slice the query was placed on (-1 = whole-pod shard). */
-        int slice = -1;
-    };
-
     int PickPod(std::uint32_t model_id, std::uint64_t tried);
     int PickShedProbe(std::uint64_t tried);
     /**
@@ -425,19 +375,13 @@ class FederatedDispatcher {
     void OnHealthSample(int pod_index, const mgmt::HealthScoreSample& sample);
     /** Shared attach body; `shard` < 0 installs the direct-mode seams. */
     int AttachPodInternal(mgmt::PodContext* pod, int shard);
-    /** Mailbox seams for one slice of an already-created slot. */
-    void AttachSliceSeams(int pod_index, int slice_index);
-    /** Declare (and assert) the hop lookaheads of one pod/slice shard. */
+    /** Declare (and assert) the hop lookaheads of one pod shard. */
     void DeclareShardEdges(int shard);
-    /** Fold one slice's published score into the pod-level aggregate. */
-    void OnSliceHealthSample(int pod_index, int slice_index,
-                             const mgmt::HealthScoreSample& sample);
     /** Confirmed MachineReport bookkeeping (direct call or mailbox hop). */
     void ApplyMachineReport(int pod_index, const mgmt::MachineReport& report);
     // --- Mailbox mode: the pod-shard half of an inject. ----------------
-    /** Runs on the pod's (or slice's) shard: the actual pool Inject. */
-    void PodInjectOnShard(int pod_index, int slice_index,
-                          std::uint64_t query_id, int thread,
+    /** Runs on the pod's shard: the actual pool Inject. */
+    void PodInjectOnShard(int pod_index, std::uint64_t query_id, int thread,
                           const rank::CompressedRequest& request);
     /** Back on the coordinator: completion / pod-level refusal. */
     void OnShardResult(int pod_index, std::uint64_t query_id,
@@ -455,7 +399,7 @@ class FederatedDispatcher {
     sim::Simulator* simulator_;
     Config config_;
     ShardBinding binding_;
-    /** Every pod/slice shard attached so far (pod <-> pod edges are
+    /** Every pod shard attached so far (pod <-> pod edges are
      *  declared unreachable pairwise as each new shard arrives). */
     std::vector<int> attached_shards_;
     /** Mailbox-mode injects awaiting a pod verdict, by query id. */

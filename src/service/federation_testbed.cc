@@ -10,16 +10,7 @@ namespace catapult::service {
 FederationTestbed::FederationTestbed(Config config)
     : config_(std::move(config)) {
     assert(config_.pod_count >= 1);
-    assert(!config_.sharding.ring_subshards || config_.sharding.enabled);
     coordinator_ = &simulator_;
-    if (config_.sharding.enabled && config_.sharding.ring_subshards) {
-        // Each ring slice is a 1 x cols torus strip, so a full ring
-        // must fit along the column dimension.
-        assert(config_.pod.fabric.topology.cols() >=
-               RankingService::kRingLength);
-        slices_per_pod_ = std::max(1, config_.pod.ring_count);
-    }
-    FederatedDispatcher::ShardBinding binding;
     if (config_.sharding.enabled) {
         // Lookahead derivation: a query (or completion) crossing the
         // pod boundary pays the front-door network transit plus the
@@ -35,9 +26,8 @@ FederationTestbed::FederationTestbed(Config config)
                               ? config_.sharding.completion_hop
                               : leg;
         sim::SimulatorGroup::Config group_config;
-        // Shard 0 = coordinator; pod k's slices (the whole pod when
-        // ring_subshards is off) follow pod-major, slice-minor.
-        group_config.shards = 1 + config_.pod_count * slices_per_pod_;
+        // Shard 0 = coordinator; pod k runs on shard 1 + k.
+        group_config.shards = 1 + config_.pod_count;
         group_config.epoch = std::min(inject_hop_, completion_hop_);
         group_config.parallel = config_.sharding.parallel;
         group_config.max_threads = config_.sharding.max_threads;
@@ -47,8 +37,7 @@ FederationTestbed::FederationTestbed(Config config)
     if (config_.observability.enabled) {
         // One ShardObs per simulator shard; the whole plane collapses
         // to a single shard when every layer shares one simulator.
-        const int obs_shards =
-            group_ ? 1 + config_.pod_count * slices_per_pod_ : 1;
+        const int obs_shards = group_ ? 1 + config_.pod_count : 1;
         plane_ = std::make_unique<obs::ObservabilityPlane>(
             obs_shards, config_.observability);
     }
@@ -64,10 +53,6 @@ FederationTestbed::FederationTestbed(Config config)
         dispatcher_->BindShardGroup(bind);
     }
     for (int k = 0; k < config_.pod_count; ++k) {
-        if (slices_per_pod_ > 1) {
-            BuildPodSlices(k);
-            continue;
-        }
         mgmt::PodContext::Config pod_config = config_.pod;
         pod_config.pod_id = k;
         if (k > 0) {
@@ -151,37 +136,23 @@ void FederationTestbed::InstallObservability() {
         reg.counter("frontend.submitted")->Set(fe.submitted);
         reg.counter("frontend.refused")->Set(fe.refused);
         for (int k = 0; k < pod_count(); ++k) {
-            // Ring sub-shard slices present as one pod: sum across them.
-            std::uint64_t dispatched = 0, recoveries = 0, injected = 0,
-                          completed = 0, timeouts = 0, investigations = 0,
-                          fdr_postmortem = 0;
-            std::int64_t rings_available = 0;
-            for (int r = 0; r < slices_per_pod_; ++r) {
-                mgmt::PodContext& p = pod_slice(k, r);
-                const auto& pc = p.pool().counters();
-                dispatched += pc.dispatched;
-                recoveries += pc.recoveries;
-                rings_available += p.pool().available_rings();
-                const auto rc = p.pool().AggregateRingCounters();
-                injected += rc.injected;
-                completed += rc.completed;
-                timeouts += rc.timeouts;
-                const auto& hc = p.health_monitor().counters();
-                investigations += hc.investigations;
-                fdr_postmortem += hc.fdr_postmortem_records;
-            }
+            mgmt::PodContext& p = pod(k);
+            const auto& pc = p.pool().counters();
+            const auto rc = p.pool().AggregateRingCounters();
+            const auto& hc = p.health_monitor().counters();
             std::string prefix = "pod";
             prefix += std::to_string(k);
             prefix += ".";
-            reg.counter(prefix + "dispatched")->Set(dispatched);
-            reg.counter(prefix + "recoveries")->Set(recoveries);
-            reg.counter(prefix + "injected")->Set(injected);
-            reg.counter(prefix + "completed")->Set(completed);
-            reg.counter(prefix + "timeouts")->Set(timeouts);
-            reg.counter(prefix + "investigations")->Set(investigations);
+            reg.counter(prefix + "dispatched")->Set(pc.dispatched);
+            reg.counter(prefix + "recoveries")->Set(pc.recoveries);
+            reg.counter(prefix + "injected")->Set(rc.injected);
+            reg.counter(prefix + "completed")->Set(rc.completed);
+            reg.counter(prefix + "timeouts")->Set(rc.timeouts);
+            reg.counter(prefix + "investigations")->Set(hc.investigations);
             reg.counter(prefix + "fdr_postmortem_records")
-                ->Set(fdr_postmortem);
-            reg.gauge(prefix + "rings_available")->Set(rings_available);
+                ->Set(hc.fdr_postmortem_records);
+            reg.gauge(prefix + "rings_available")
+                ->Set(p.pool().available_rings());
         }
         if (group_ != nullptr) {
             // Executor profiling. Round/message/frontier counts and
@@ -221,172 +192,44 @@ void FederationTestbed::InstallObservability() {
     });
 }
 
-void FederationTestbed::BuildPodSlices(int pod_index) {
-    // Ring sub-shards: pod `pod_index` splits into R self-contained
-    // single-ring slices, each a 1 x cols torus strip on its own group
-    // shard. Identity is pinned per slice — node base, name prefix,
-    // host names, trace-id stride — so the R slices present as one pod
-    // (same pod id on telemetry and reports, slice-local node ids
-    // remapped into pod node space by the dispatcher's seams) without
-    // any layer's names or ids colliding.
-    const int R = slices_per_pod_;
-    const int cols = config_.pod.fabric.topology.cols();
-    const int pod_nodes = config_.pod.fabric.topology.node_count();
-    std::vector<FederatedDispatcher::PodSlice> slices;
-    for (int r = 0; r < R; ++r) {
-        const int g = pod_index * R + r;  // global slice index
-        const int shard = 1 + g;
-        mgmt::PodContext::Config sc = config_.pod;
-        sc.pod_id = pod_index;
-        sc.ring_count = 1;
-        sc.fabric.topology = fabric::TorusTopology(1, cols);
-        sc.fabric.pod_id = pod_index;
-        sc.fabric.node_base = pod_index * pod_nodes + r * cols;
-        // += chains for the same -Wrestrict reason as PodContext.
-        sc.fabric.name_prefix = "pod";
-        sc.fabric.name_prefix += std::to_string(pod_index);
-        sc.fabric.name_prefix += ".ring";
-        sc.fabric.name_prefix += std::to_string(r);
-        sc.host_name_prefix = "p";
-        sc.host_name_prefix += std::to_string(pod_index);
-        sc.host_name_prefix += ".r";
-        sc.host_name_prefix += std::to_string(r);
-        sc.host_name_prefix += ".srv";
-        // Pod-strided then ring-strided, matching the unsliced pool's
-        // per-ring stride — cross-slice FDR trace ids never collide.
-        sc.service.trace_id_base =
-            (static_cast<std::uint64_t>(pod_index) << 48) |
-            (static_cast<std::uint64_t>(r) << 40);
-        if (g > 0) {
-            // Same golden-ratio stream split as whole-pod mode, keyed
-            // by the global slice index; slice 0 of pod 0 keeps the
-            // template seed.
-            sc.seed = config_.pod.seed +
-                      0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(g);
-        }
-        if (config_.pod_count > 1) {
-            sc.service.service_name += "/pod" + std::to_string(pod_index);
-        }
-        sc.service.service_name += "/ring" + std::to_string(r);
-        sc.shard_index = shard;
-        if (plane_) sc.obs = plane_->shard(shard);
-        pods_.push_back(std::make_unique<mgmt::PodContext>(
-            &group_->shard(shard), std::move(sc)));
-        FederatedDispatcher::PodSlice slice;
-        slice.context = pods_.back().get();
-        slice.shard = shard;
-        slice.node_offset = r * cols;
-        slices.push_back(slice);
-    }
-    dispatcher_->AttachPodSlices(slices);
-}
-
 void FederationTestbed::ReattachPod(int index,
                                     std::function<void(bool)> on_done) {
-    if (group_ && slices_per_pod_ > 1) {
-        // Each ring slice runs the full service sequence on its own
-        // shard; the verdicts hop back to the coordinator, whose
-        // canonical drain makes the join state single-writer. Only
-        // when every slice redeployed does the pod re-enter rotation.
-        struct Join {
-            int pending = 0;
-            bool all_ok = true;
-            std::function<void(bool)> on_done;
-        };
-        auto join = std::make_shared<Join>();
-        join->pending = slices_per_pod_;
-        join->on_done = std::move(on_done);
-        for (int r = 0; r < slices_per_pod_; ++r) {
-            const int shard = 1 + index * slices_per_pod_ + r;
-            auto slice_local = [this, index, r, shard, join]() {
-                mgmt::PodContext& p = this->pod_slice(index, r);
-                auto pending = std::make_shared<int>(
-                    static_cast<int>(p.hosts().size()));
-                auto resume = [this, index, r, shard, join]() {
-                    mgmt::PodContext& ready = this->pod_slice(index, r);
-                    for (int node = 0;
-                         node < ready.fabric().node_count(); ++node) {
-                        ready.health_monitor().MarkNodeServiced(node);
-                    }
-                    ready.pool().ClearRecoveryBacklog();
-                    ready.forecaster().ResetForReadmission();
-                    ready.pool().Deploy([this, index, shard,
-                                         join](bool ok) {
-                        group_->Post(
-                            shard, 0,
-                            group_->shard(shard).Now() + completion_hop_,
-                            [this, index, ok, join]() {
-                                if (!ok) join->all_ok = false;
-                                if (--join->pending > 0) return;
-                                if (join->all_ok) {
-                                    dispatcher_->ReadmitPod(index);
-                                }
-                                if (join->on_done) {
-                                    join->on_done(join->all_ok);
-                                }
-                            });
-                    });
-                };
-                for (host::HostServer* host : p.hosts()) {
-                    host->Service([pending, resume]() mutable {
-                        if (--*pending == 0) resume();
-                    });
-                }
-            };
-            group_->Post(0, shard, coordinator_->Now() + inject_hop_,
-                         std::move(slice_local));
-        }
+    auto readmit = [this, index, on_done = std::move(on_done)](bool ok) {
+        if (ok) dispatcher_->ReadmitPod(index);
+        if (on_done) on_done(ok);
+    };
+    if (!group_) {
+        ServicePod(index, std::move(readmit));
         return;
     }
-    if (group_) {
-        // The service sequence is pod-local and must run on the pod's
-        // shard; only the final re-admission belongs to the
-        // coordinator. One hop out carries the mgmt-plane command, one
-        // hop back carries the redeploy verdict.
-        const int shard = 1 + index;
-        auto pod_local = [this, index, shard,
-                          on_done = std::move(on_done)]() mutable {
-            mgmt::PodContext& p = this->pod(index);
-            auto pending =
-                std::make_shared<int>(static_cast<int>(p.hosts().size()));
-            auto resume = [this, index, shard,
-                           on_done = std::move(on_done)]() mutable {
-                mgmt::PodContext& ready = this->pod(index);
-                for (int node = 0; node < ready.fabric().node_count();
-                     ++node) {
-                    ready.health_monitor().MarkNodeServiced(node);
-                }
-                ready.pool().ClearRecoveryBacklog();
-                ready.forecaster().ResetForReadmission();
-                ready.pool().Deploy([this, index, shard,
-                                     on_done = std::move(on_done)](
-                                        bool ok) mutable {
-                    group_->Post(
-                        shard, 0,
-                        group_->shard(shard).Now() + completion_hop_,
-                        [this, index, ok,
-                         on_done = std::move(on_done)]() mutable {
-                            if (ok) dispatcher_->ReadmitPod(index);
-                            if (on_done) on_done(ok);
-                        });
-                });
-            };
-            for (host::HostServer* host : p.hosts()) {
-                host->Service([pending, resume]() mutable {
-                    if (--*pending == 0) resume();
-                });
-            }
-        };
-        group_->Post(0, shard, coordinator_->Now() + inject_hop_,
-                     std::move(pod_local));
-        return;
-    }
+    // The service sequence is pod-local and must run on the pod's
+    // shard; only the final re-admission belongs to the coordinator.
+    // One hop out carries the mgmt-plane command, one hop back carries
+    // the redeploy verdict.
+    const int shard = 1 + index;
+    group_->Post(
+        0, shard, coordinator_->Now() + inject_hop_,
+        [this, index, shard, readmit = std::move(readmit)]() mutable {
+            ServicePod(index, [this, shard, readmit = std::move(readmit)](
+                                  bool ok) mutable {
+                group_->Post(shard, 0,
+                             group_->shard(shard).Now() + completion_hop_,
+                             [ok, readmit = std::move(readmit)]() mutable {
+                                 readmit(ok);
+                             });
+            });
+        });
+}
+
+void FederationTestbed::ServicePod(int index,
+                                   std::function<void(bool)> on_redeployed) {
     mgmt::PodContext& pod = this->pod(index);
     // 1. Field service: every host repaired and power-cycled. The
     //    servicing runs concurrently across the pod's machines; the
     //    rest of the sequence waits for the last one.
     auto pending = std::make_shared<int>(static_cast<int>(pod.hosts().size()));
-    auto resume = [this, index, on_done = std::move(on_done)]() mutable {
+    auto resume = [this, index,
+                   on_redeployed = std::move(on_redeployed)]() mutable {
         mgmt::PodContext& ready = this->pod(index);
         // 2. The health plane forgives: every node was just field-
         //    serviced, so every watchdog grudge goes — dead flags
@@ -404,13 +247,9 @@ void FederationTestbed::ReattachPod(int index,
         //    poison the serviced pod's fresh score (cold-start grace
         //    restarts, so the pod cannot be re-shed on a stale trend).
         ready.forecaster().ResetForReadmission();
-        // 4. Redeploy the rings onto the serviced hardware, then
-        //    hot-attach the pod back into the dispatcher's rotation.
-        ready.pool().Deploy(
-            [this, index, on_done = std::move(on_done)](bool ok) {
-                if (ok) dispatcher_->ReadmitPod(index);
-                if (on_done) on_done(ok);
-            });
+        // 4. Redeploy the rings onto the serviced hardware; the caller
+        //    hot-attaches the pod back into the dispatcher's rotation.
+        ready.pool().Deploy(std::move(on_redeployed));
     };
     for (host::HostServer* host : pod.hosts()) {
         host->Service([pending, resume]() mutable {

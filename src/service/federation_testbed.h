@@ -60,17 +60,6 @@ class FederationTestbed {
         struct Sharding {
             bool enabled = false;
             bool parallel = false;
-            /**
-             * Shard *within* each pod: every ring becomes its own
-             * sub-shard — a self-contained single-ring PodContext
-             * slice (1 x cols torus) on its own group shard — attached
-             * through FederatedDispatcher::AttachPodSlices, so a
-             * 1-pod/6-ring workload spreads over 6 shards instead of
-             * serializing on one. Requires `enabled`. pod(k) then
-             * returns slice 0; use pod_slice(k, r) for the rest and
-             * aggregate per-pod metrics across slices.
-             */
-            bool ring_subshards = false;
             /** Executor cap (0 = hardware concurrency). */
             int max_threads = 0;
             /**
@@ -90,7 +79,7 @@ class FederationTestbed {
          * executor profiling). Off by default — zero overhead beyond
          * untaken branches. On: one ShardObs per simulator shard (the
          * coordinator's feeds the dispatcher/scatter/session tier, each
-         * pod slice's feeds its rings and Health Monitor), merged
+         * pod's feeds its rings and Health Monitor), merged
          * race-free at epoch barriers (or a cadence daemon when
          * unsharded). The deterministic exports are byte-identical
          * between lock-step and parallel execution.
@@ -138,19 +127,9 @@ class FederationTestbed {
     }
     Time Now() const { return coordinator_->Now(); }
 
-    int pod_count() const {
-        return static_cast<int>(pods_.size()) / slices_per_pod_;
-    }
-    /** Pod k's context — slice 0 of it under ring_subshards. */
+    int pod_count() const { return static_cast<int>(pods_.size()); }
     mgmt::PodContext& pod(int index) {
-        return *pods_[static_cast<std::size_t>(index * slices_per_pod_)];
-    }
-    /** Ring sub-shard slices per pod (1 unless ring_subshards). */
-    int slices_per_pod() const { return slices_per_pod_; }
-    /** Ring slice r of pod k (ring_subshards mode; r=0 always valid). */
-    mgmt::PodContext& pod_slice(int index, int ring) {
-        return *pods_[static_cast<std::size_t>(index * slices_per_pod_ +
-                                               ring)];
+        return *pods_[static_cast<std::size_t>(index)];
     }
     FederatedDispatcher& dispatcher() { return *dispatcher_; }
     /** The session-oriented scatter-gather door over the dispatcher. */
@@ -159,8 +138,12 @@ class FederationTestbed {
     obs::ObservabilityPlane* observability() { return plane_.get(); }
 
   private:
-    /** Ring-sub-shard construction of pod `pod_index` (R>1 slices). */
-    void BuildPodSlices(int pod_index);
+    /**
+     * Steps 1-4 of ReattachPod on the pod's own simulator: field
+     * service, health-plane and forecaster reset, redeploy.
+     * `on_redeployed` gets the redeploy verdict.
+     */
+    void ServicePod(int index, std::function<void(bool)> on_redeployed);
     /** Register the layer-counter pull-collectors + cadence driver. */
     void InstallObservability();
 
@@ -173,8 +156,6 @@ class FederationTestbed {
     std::unique_ptr<obs::ObservabilityPlane> plane_;
     Time inject_hop_ = 0;
     Time completion_hop_ = 0;
-    int slices_per_pod_ = 1;
-    /** Pod-major, slice-minor: pod k's slices at [k*R, (k+1)*R). */
     std::vector<std::unique_ptr<mgmt::PodContext>> pods_;
     std::unique_ptr<FederatedDispatcher> dispatcher_;
     std::unique_ptr<SessionFrontEnd> front_end_;

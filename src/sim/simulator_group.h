@@ -1,6 +1,6 @@
 // Conservative parallel discrete-event runtime: one Simulator shard per
-// partition (pod, ring slice, coordinator), advanced in bounded rounds
-// and coupled through deterministic cross-shard mailboxes.
+// partition (pod, coordinator), advanced in bounded rounds and coupled
+// through deterministic cross-shard mailboxes.
 //
 // Synchronization is per-edge Chandy-Misra lookahead, not a global
 // epoch. Every (source, destination) shard pair carries a declared

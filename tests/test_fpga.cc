@@ -223,6 +223,31 @@ TEST(FpgaDevice, ForceFailAndPowerCycleRecovers) {
     sim.Run();
     EXPECT_TRUE(ok);
     EXPECT_EQ(device.state(), DeviceState::kActive);
+
+    // A failure mid-configuration aborts it; its caller hears false.
+    int configure_calls = 0;
+    device.ConfigureFromFlash(FlashSlot::kApplication, [&](bool success) {
+        ++configure_calls;
+        ok = success;
+    });
+    device.ForceFail("test");
+    sim.Run();
+    EXPECT_EQ(configure_calls, 1);
+    EXPECT_FALSE(ok);
+
+    // Overlapping power cycles: the second supersedes the first, and
+    // each caller hears back exactly once, with the device up again.
+    int cycle_calls = 0;
+    const auto on_cycle = [&](bool success) {
+        ++cycle_calls;
+        EXPECT_TRUE(success);
+        EXPECT_EQ(device.state(), DeviceState::kActive);
+    };
+    device.PowerCycle(on_cycle);
+    sim.RunUntil(sim.Now() + FpgaDevice::Config().configure_time / 2);
+    device.PowerCycle(on_cycle);
+    sim.Run();
+    EXPECT_EQ(cycle_calls, 2);
 }
 
 TEST(SeuScrubber, InjectsAndCorrectsUpsets) {

@@ -3,7 +3,8 @@
 // tie-breaking, round-robin interleave of equal-score runs), deadline
 // edge cases (zero pods answered, every pod answered exactly at the
 // budget instant, stragglers after delivery), mid-scatter pod blackout
-// with live re-admission, and the dispatcher's 64-pod rotation limit.
+// with live re-admission (also while the blackout is still being
+// investigated), and the dispatcher's 64-pod rotation limit.
 
 #include <gtest/gtest.h>
 
@@ -424,6 +425,53 @@ TEST(ScatterGather, PodBlackoutMidScatterSurvivorsCompleteAndPodRejoins) {
     // The readmitted pod is back in the partition and serving.
     EXPECT_EQ(result2.pods[0].assigned, 10);
     EXPECT_GT(result2.pods[0].answered, 0);
+}
+
+TEST(SessionFrontEnd, ReattachDuringBlackoutInvestigationReadmitsPod) {
+    // Re-attach while the Health Monitor is still working through the
+    // blackout: its reboot ladder and the field service then power-cycle
+    // the same hosts at overlapping times, and every host's service
+    // callback must still arrive for the pod to rejoin.
+    auto config = FastFederation(/*pods=*/3, /*rings=*/2);
+    config.pod.host.soft_reboot_duration = Milliseconds(30);
+    config.pod.host.hard_reboot_duration = Milliseconds(40);
+    config.pod.host.crash_reboot_delay = Milliseconds(10);
+    config.pod.health.heartbeat_period = Milliseconds(10);
+    config.pod.health.query_timeout = Milliseconds(30);
+    FederationTestbed bed(config);
+    ASSERT_TRUE(bed.DeployAndSettle());
+    const Time blackout_at = bed.simulator().Now() + Milliseconds(20);
+    bed.pod(0).failure_injector().SchedulePodBlackout(blackout_at);
+
+    bool called_back = false;
+    bool reattached = false;
+    bed.simulator().ScheduleAt(blackout_at + Milliseconds(40), [&] {
+        bed.ReattachPod(0, [&](bool ok) {
+            called_back = true;
+            reattached = ok;
+        });
+    });
+    bed.simulator().Run();
+    ASSERT_TRUE(called_back);
+    EXPECT_TRUE(reattached);
+    EXPECT_EQ(bed.dispatcher().pod_stats(0).readmitted, 1u);
+    EXPECT_TRUE(bed.dispatcher().pod_eligible(0));
+
+    // The readmitted pod serves its share of a fresh gather.
+    SessionFrontEnd& door = bed.front_end();
+    ScatterGatherDispatcher::GatherResult result;
+    bool delivered = false;
+    ASSERT_GT(door.Submit(door.OpenSession(), rank::Query{}, MakeDocs(30),
+                          /*top_k=*/10, /*budget=*/0,
+                          [&](const ScatterGatherDispatcher::GatherResult& r) {
+                              result = r;
+                              delivered = true;
+                          }),
+              0u);
+    bed.simulator().Run();
+    ASSERT_TRUE(delivered);
+    EXPECT_EQ(result.answered, 30u);
+    EXPECT_GT(result.pods[0].answered, 0);
 }
 
 TEST(SessionFrontEnd, InFlightCapRefusesAndClosedSessionRefuses) {
