@@ -44,13 +44,12 @@ service::FederationTestbed::Config FederationConfig(int pods) {
 double MeasureThroughput(int pods) {
     service::FederationTestbed bed(FederationConfig(pods));
     if (!bed.DeployAndSettle()) return 0.0;
-    service::FederatedClosedLoopInjector::Config load;
     // Saturates well past 3 pods x 2 rings (single-ring saturation is
     // ~12 outstanding, Fig. 9).
-    load.concurrency = 96;
-    load.documents = 2'000;
-    service::FederatedClosedLoopInjector injector(&bed.dispatcher(),
-                                                  &bed.simulator(), load);
+    const service::ClientLoop::Config load{.concurrency = 96,
+                                           .documents = 2'000};
+    service::ClientLoop injector(&bed.simulator(),
+                                 service::InjectInto(&bed.dispatcher()), load);
     const service::LoadResult result = injector.Run();
     if (result.completed != static_cast<std::uint64_t>(load.documents)) {
         return 0.0;
@@ -164,13 +163,12 @@ ShardedRun RunShardedLoad(bool parallel) {
     service::FederationTestbed bed(config);
     ShardedRun run;
     if (!bed.DeployAndSettle()) return run;
-    service::FederatedOpenLoopInjector::Config load;
+    service::ArrivalLoop::Config load;
     load.rate_qps = 60'000.0;
     load.duration = Milliseconds(160);
-    load.arrival_batch = 8;
-    service::FederatedOpenLoopInjector injector(&bed.dispatcher(),
-                                                &bed.simulator(), Rng(41),
-                                                load);
+    service::ArrivalLoop injector(&bed.simulator(),
+                                  service::InjectInto(&bed.dispatcher()),
+                                  Rng(41), load);
     injector.set_group(bed.group());
     run.deployed = true;
     const bench::WallTimer timer;

@@ -42,10 +42,9 @@ int main() {
             return 1;
         }
 
-        service::PoolClosedLoopInjector::Config load;
-        load.concurrency = kConcurrency;
-        load.documents = kDocuments;
-        service::PoolClosedLoopInjector injector(&bed.pool(), load);
+        service::ClientLoop injector(
+            &bed.simulator(), service::InjectInto(&bed.pool()),
+            {.concurrency = kConcurrency, .documents = kDocuments});
         const service::LoadResult result = injector.Run();
         const double tput = result.ThroughputPerSecond();
         if (rings == 1) one_ring = tput;

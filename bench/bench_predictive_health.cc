@@ -67,13 +67,13 @@ constexpr Time kLoadEnd = Milliseconds(440);
 constexpr Time kSlo = Milliseconds(2);
 
 struct RampResult {
-    service::FederatedPhasedInjector::Result load;  // pre/incident/recovery
+    service::LoadResult load;  // pre/incident/recovery
     std::uint64_t lost = 0;
     std::uint64_t failovers = 0;
     std::uint64_t sheds = 0;
     std::uint64_t pod0_shed_queries = 0;
 
-    const service::FederatedPhasedInjector::Phase& Incident() const {
+    const service::Phase& Incident() const {
         return load.phases[1];
     }
 };
@@ -108,13 +108,13 @@ RampResult RunRamp(bool predictive) {
         ramp_nodes, load_start + kRampStart, Milliseconds(12),
         /*flap_duration=*/Milliseconds(14));
 
-    service::FederatedPhasedInjector::Config load;
+    service::ArrivalLoop::Config load;
     load.rate_qps = 100'000.0;
     load.duration = kLoadEnd;
     load.phase_offsets = {kRampStart, kIncidentEnd};
     load.slo = kSlo;
-    service::FederatedPhasedInjector injector(&bed.dispatcher(),
-                                              &bed.simulator(), load);
+    service::ArrivalLoop injector(&bed.simulator(),
+                                  service::InjectInto(&bed.dispatcher()), load);
     result.load = injector.Run();
 
     result.lost = bed.dispatcher().counters().lost;
@@ -132,7 +132,7 @@ constexpr Time kSettledAt = Milliseconds(380);
 constexpr Time kReadmitDuration = Milliseconds(470);
 
 struct ReadmitResult {
-    service::FederatedPhasedInjector::Result load;
+    service::LoadResult load;
     bool reattach_ok = false;
     std::uint64_t lost = 0;
     std::uint64_t readmitted = 0;
@@ -160,12 +160,12 @@ ReadmitResult RunReadmission(RunMode mode = RunMode::kDirect) {
         bed.ReattachPod(0, [&](bool ok) { result.reattach_ok = ok; });
     });
 
-    service::FederatedPhasedInjector::Config load;
+    service::ArrivalLoop::Config load;
     load.rate_qps = 25'000.0;
     load.duration = kReadmitDuration;
     load.phase_offsets = {kFaultAt, kReattachAt, kSettledAt};
-    service::FederatedPhasedInjector injector(&bed.dispatcher(),
-                                              &bed.simulator(), load);
+    service::ArrivalLoop injector(&bed.simulator(),
+                                  service::InjectInto(&bed.dispatcher()), load);
     injector.set_group(bed.group());
     const bench::WallTimer timer;
     result.load = injector.Run();
@@ -217,7 +217,7 @@ int main() {
         bench::Row({names[p],
                     bench::FmtInt(static_cast<long long>(phases[p].arrivals)),
                     bench::FmtInt(static_cast<long long>(phases[p].completed)),
-                    bench::FmtInt(static_cast<long long>(phases[p].failed)),
+                    bench::FmtInt(static_cast<long long>(phases[p].timeouts)),
                     bench::Fmt(phases[p].Qps(), 0)});
     }
     const double pre_qps = phases[0].Qps();
@@ -265,7 +265,7 @@ int main() {
         ok = false;
     }
     if (predictive.lost != 0 || reactive.lost != 0 ||
-        predictive.load.failed != 0 || reactive.load.failed != 0) {
+        predictive.load.timeouts != 0 || reactive.load.timeouts != 0) {
         std::printf("FAIL: accepted queries lost during the ramp\n");
         ok = false;
     }
@@ -287,11 +287,11 @@ int main() {
                     100.0 * recovered);
         ok = false;
     }
-    if (readmit.lost != 0 || readmit.load.failed != 0) {
+    if (readmit.lost != 0 || readmit.load.timeouts != 0) {
         std::printf("FAIL: accepted queries lost across the blackout / "
                     "re-admission (lost=%llu failed=%llu)\n",
                     static_cast<unsigned long long>(readmit.lost),
-                    static_cast<unsigned long long>(readmit.load.failed));
+                    static_cast<unsigned long long>(readmit.load.timeouts));
         ok = false;
     }
     // --- Part 3: parallel federation runtime --------------------------
@@ -314,7 +314,7 @@ int main() {
     std::printf("[parallel_speedup] %.2f (cores=%u)\n", par_speedup, cores);
     if (lockstep.load.completed != threaded.load.completed ||
         lockstep.load.accepted != threaded.load.accepted ||
-        lockstep.load.failed != threaded.load.failed ||
+        lockstep.load.timeouts != threaded.load.timeouts ||
         lockstep.reattach_ok != threaded.reattach_ok ||
         lockstep.pod0_served_after_readmit !=
             threaded.pod0_served_after_readmit) {

@@ -42,10 +42,9 @@ int main() {
                 bed.scheduler().occupied_nodes(), bed.scheduler().node_count());
 
     // --- Sharded load across the pool ---------------------------------
-    service::PoolClosedLoopInjector::Config load;
-    load.concurrency = 24;
-    load.documents = 240;
-    service::PoolClosedLoopInjector injector(&bed.pool(), load);
+    service::ClientLoop injector(&bed.simulator(),
+                                 service::InjectInto(&bed.pool()),
+                                 {.concurrency = 24, .documents = 240});
     const service::LoadResult result = injector.Run();
     std::printf("\n[t=%s] %llu documents scored across the pool:\n",
                 FormatTime(bed.simulator().Now()).c_str(),

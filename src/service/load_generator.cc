@@ -9,92 +9,37 @@ namespace catapult::service {
 
 namespace {
 
-/** Shared knobs of the pool- and federation-level closed loops. */
-struct ClosedLoopParams {
-    int concurrency;
-    int driver_threads;
-    int documents;
-    Time retry_delay;
-    int max_retries;
-    bool single_model;
-    const char* client_label;
-};
+constexpr std::uint64_t kCorpusSeed = 42;
+/** Driver threads registered per host (the PodContext default); Target
+ *  clients and arrivals rotate over them. */
+constexpr int kDriverThreads = 32;
+/** Host-side software cost of the FPGA path's preprocessing (§4). */
+const rank::SoftwareCostModel kHostCost{};
+
+/** The next corpus document, forced to one model (no reload churn). */
+rank::CompressedRequest NextRequest(rank::DocumentGenerator& generator) {
+    rank::CompressedRequest request = generator.Next();
+    request.query.model_id = 0;
+    return request;
+}
 
 /**
- * The closed-loop client state machine, shared by
- * PoolClosedLoopInjector and FederatedClosedLoopInjector so the
- * stagger/send/retry/give-up bookkeeping exists exactly once:
- * `concurrency` clients each keep one document outstanding against
- * `inject(thread, request, on_complete) -> SendStatus`, with a bounded
- * retry budget when the target rejects outright. Everything resolves
- * inside simulator->Run(), so the state lives on this stack frame.
+ * One Poisson arrival stream: draws an exponential gap at `rate` per
+ * second and, unless it lands at or past `deadline`, schedules
+ * `on_arrival` there, which then chains the next draw. Exactly one
+ * arrival is pending per stream, and gaps are drawn in arrival order.
  */
-template <typename InjectFn>
-LoadResult RunClosedLoop(sim::Simulator* simulator,
-                         sim::SimulatorGroup* group,
-                         rank::DocumentGenerator& generator,
-                         const ClosedLoopParams& params, InjectFn inject) {
-    LoadResult result;
-    const Time started = simulator->Now();
-    Time last_completion = started;
-    int sent = 0;
-    // Stagger client starts: two clients sharing a thread id (modulo
-    // driver_threads) that inject on the same host inside one
-    // injection-overhead window would both pass the slot-busy check
-    // before either slot fills, and the loser surfaces as a spurious
-    // timeout. A >overhead skew between same-thread clients avoids the
-    // herd; steady-state re-injections are naturally de-phased.
-    const int clients = std::min(params.concurrency, params.documents);
-    std::vector<int> retries_left(static_cast<std::size_t>(clients),
-                                  params.max_retries);
-    std::function<void(int)> send_next = [&](int client) {
-        if (sent >= params.documents) return;
-        rank::CompressedRequest request = generator.Next();
-        if (params.single_model) request.query.model_id = 0;
-        ++sent;
-        const auto status = inject(
-            client % params.driver_threads, request,
-            [&, client](const ScoreResult& completion) {
-                if (completion.ok) {
-                    ++result.completed;
-                    result.latency_us.Add(ToMicroseconds(completion.latency));
-                } else {
-                    ++result.timeouts;
-                }
-                last_completion = simulator->Now();
-                send_next(client);
-            });
-        if (status != host::SendStatus::kOk) {
-            // Rejected outright (every target drained mid-recovery, or
-            // slot contention): keep the client alive and retry
-            // shortly, up to its budget — so a target that never
-            // recovers cannot hang Run().
-            --sent;
-            if (--retries_left[static_cast<std::size_t>(client)] < 0) {
-                ++result.timeouts;
-                LOG_WARN("loadgen")
-                    << params.client_label << " " << client
-                    << " gave up after " << params.max_retries
-                    << " rejected sends";
-                return;
-            }
-            simulator->ScheduleAfter(params.retry_delay,
-                                     [&, client] { send_next(client); });
-            return;
-        }
-        retries_left[static_cast<std::size_t>(client)] = params.max_retries;
-    };
-    for (int client = 0; client < clients; ++client) {
-        simulator->ScheduleAfter(Microseconds(client),
-                                 [&, client] { send_next(client); });
-    }
-    if (group) {
-        group->Run();
-    } else {
-        simulator->Run();
-    }
-    result.elapsed = last_completion - started;
-    return result;
+template <typename OnArrival>
+void ScheduleNextArrival(sim::Simulator* simulator, Rng& rng, double rate,
+                         Time deadline, OnArrival on_arrival) {
+    if (rate <= 0.0) return;
+    const double gap_s = rng.Exponential(1.0 / rate);
+    const Time when = simulator->Now() + static_cast<Time>(gap_s * 1e12);
+    if (when >= deadline) return;  // injection window closed
+    simulator->ScheduleAt(when, [simulator, &rng, rate, deadline, on_arrival] {
+        on_arrival();
+        ScheduleNextArrival(simulator, rng, rate, deadline, on_arrival);
+    });
 }
 
 }  // namespace
@@ -102,7 +47,7 @@ LoadResult RunClosedLoop(sim::Simulator* simulator,
 ClosedLoopInjector::ClosedLoopInjector(RankingService* service, Config config)
     : service_(service),
       config_(std::move(config)),
-      generator_(config_.corpus_seed, config_.corpus) {
+      generator_(kCorpusSeed) {
     assert(service_ != nullptr);
 }
 
@@ -115,7 +60,7 @@ LoadResult ClosedLoopInjector::Run() {
         service_->host(ring_index)->driver().AssignThreads(
             std::max(1, config_.threads_per_node));
         for (int thread = 0; thread < config_.threads_per_node; ++thread) {
-            StartThread(ring_index, thread);
+            SendNext(ring_index, thread, config_.documents_per_thread);
         }
     }
     service_->simulator()->Run();
@@ -123,16 +68,10 @@ LoadResult ClosedLoopInjector::Run() {
     return result_;
 }
 
-void ClosedLoopInjector::StartThread(int ring_index, int thread) {
-    SendNext(ring_index, thread, config_.documents_per_thread);
-}
-
 void ClosedLoopInjector::SendNext(int ring_index, int thread, int remaining) {
     if (remaining <= 0) return;
-    rank::CompressedRequest request = generator_.Next();
-    if (config_.single_model) request.query.model_id = 0;
     const auto status = service_->Inject(
-        ring_index, thread, request,
+        ring_index, thread, NextRequest(generator_),
         [this, ring_index, thread, remaining](const ScoreResult& result) {
             if (result.ok) {
                 ++result_.completed;
@@ -151,167 +90,119 @@ void ClosedLoopInjector::SendNext(int ring_index, int thread, int remaining) {
     }
 }
 
-PoolClosedLoopInjector::PoolClosedLoopInjector(ServicePool* pool,
-                                               Config config)
-    : pool_(pool),
-      config_(std::move(config)),
-      generator_(config_.corpus_seed, config_.corpus) {
-    assert(pool_ != nullptr);
+ClientLoop::ClientLoop(sim::Simulator* simulator, Target target,
+                       Config config)
+    : simulator_(simulator),
+      target_(std::move(target)),
+      config_(config),
+      generator_(kCorpusSeed) {
+    assert(simulator_ != nullptr && target_);
 }
 
-LoadResult PoolClosedLoopInjector::Run() {
-    const ClosedLoopParams params{config_.concurrency, config_.driver_threads,
-                                  config_.documents, config_.retry_delay,
-                                  config_.max_retries, config_.single_model,
-                                  "pool client"};
-    return RunClosedLoop(
-        pool_->simulator(), /*group=*/nullptr, generator_, params,
-        [this](int thread, const rank::CompressedRequest& request,
-               std::function<void(const ScoreResult&)> on_complete) {
-            return pool_->Inject(thread, request, std::move(on_complete));
-        });
-}
-
-FederatedClosedLoopInjector::FederatedClosedLoopInjector(
-    FederatedDispatcher* dispatcher, sim::Simulator* simulator, Config config)
-    : dispatcher_(dispatcher),
-      simulator_(simulator),
-      config_(std::move(config)),
-      generator_(config_.corpus_seed, config_.corpus) {
-    assert(dispatcher_ != nullptr && simulator_ != nullptr);
-}
-
-LoadResult FederatedClosedLoopInjector::Run() {
-    const ClosedLoopParams params{config_.concurrency, config_.driver_threads,
-                                  config_.documents, config_.retry_delay,
-                                  config_.max_retries, config_.single_model,
-                                  "federated client"};
-    return RunClosedLoop(
-        simulator_, group_, generator_, params,
-        [this](int thread, const rank::CompressedRequest& request,
-               std::function<void(const ScoreResult&)> on_complete) {
-            return dispatcher_->Inject(thread, request,
-                                       std::move(on_complete));
-        });
-}
-
-FederatedOpenLoopInjector::FederatedOpenLoopInjector(
-    FederatedDispatcher* dispatcher, sim::Simulator* simulator, Rng rng,
-    Config config)
-    : dispatcher_(dispatcher),
-      simulator_(simulator),
-      rng_(rng),
-      config_(std::move(config)),
-      generator_(config_.corpus_seed, config_.corpus) {
-    assert(dispatcher_ != nullptr && simulator_ != nullptr);
-}
-
-LoadResult FederatedOpenLoopInjector::Run() {
-    result_ = LoadResult{};
-    arrival_seq_ = 0;
-    deadline_ = simulator_->Now() + config_.duration;
-    ScheduleArrival();
-    if (group_) {
-        group_->Run();
-    } else {
-        simulator_->Run();
-    }
-    result_.elapsed = config_.duration;
-    return result_;
-}
-
-void FederatedOpenLoopInjector::InjectArrival() {
-    rank::CompressedRequest request = generator_.Next();
-    if (config_.single_model) request.query.model_id = 0;
-    const int thread = arrival_seq_++ % config_.driver_threads;
-    const auto status = dispatcher_->Inject(
-        thread, request, [this](const ScoreResult& result) {
-            if (result.ok) {
-                ++result_.completed;
-                result_.latency_us.Add(ToMicroseconds(result.latency));
-            } else {
-                ++result_.timeouts;
+LoadResult ClientLoop::Run() {
+    // Everything resolves inside the run, so the client state lives on
+    // this stack frame.
+    LoadResult result;
+    const Time started = simulator_->Now();
+    Time last_completion = started;
+    int sent = 0;
+    // Stagger client starts: two clients sharing a thread id (modulo
+    // kDriverThreads) that inject on the same host inside one
+    // injection-overhead window would both pass the slot-busy check
+    // before either slot fills, and the loser surfaces as a spurious
+    // timeout. A >overhead skew between same-thread clients avoids the
+    // herd; steady-state re-injections are naturally de-phased.
+    const int clients = std::min(config_.concurrency, config_.documents);
+    std::vector<int> retries_left(static_cast<std::size_t>(clients),
+                                  kMaxRetries);
+    std::function<void(int)> send_next = [&](int client) {
+        if (sent >= config_.documents) return;
+        ++sent;
+        const auto status = target_(
+            client % kDriverThreads, NextRequest(generator_),
+            [&, client](const ScoreResult& completion) {
+                if (completion.ok) {
+                    ++result.completed;
+                    result.latency_us.Add(ToMicroseconds(completion.latency));
+                } else {
+                    ++result.timeouts;
+                }
+                last_completion = simulator_->Now();
+                send_next(client);
+            });
+        if (status != host::SendStatus::kOk) {
+            // Refused outright (every ring or pod drained mid-recovery,
+            // or slot contention): keep the client alive and retry
+            // shortly, up to its budget.
+            --sent;
+            if (--retries_left[static_cast<std::size_t>(client)] < 0) {
+                ++result.timeouts;
+                LOG_WARN("loadgen") << "client " << client << " gave up after "
+                                    << kMaxRetries << " rejected sends";
+                return;
             }
-        });
-    if (status != host::SendStatus::kOk) {
-        // Open loop: an arrival the admission control refuses is
-        // answered now and dropped, never queued client-side.
-        ++result_.rejected;
+            simulator_->ScheduleAfter(kRetryDelay,
+                                      [&, client] { send_next(client); });
+            return;
+        }
+        retries_left[static_cast<std::size_t>(client)] = kMaxRetries;
+    };
+    for (int client = 0; client < clients; ++client) {
+        simulator_->ScheduleAfter(Microseconds(client),
+                                  [&, client] { send_next(client); });
     }
+    simulator_->Run();
+    result.elapsed = last_completion - started;
+    return result;
 }
 
-void FederatedOpenLoopInjector::ScheduleArrival() {
-    if (config_.rate_qps <= 0.0) return;
-    // Draw `arrival_batch` interarrival gaps at once and schedule each
-    // arrival at its exact cumulative time; the last arrival of the
-    // batch chains the next draw. Gaps are drawn in arrival order, so
-    // the RNG stream, the arrival times and the injected sequence are
-    // identical for every batch size — only the chain-bookkeeping
-    // event traffic shrinks. batch = 1 is exactly the classic
-    // one-pending self-chain.
-    const int batch = std::max(1, config_.arrival_batch);
-    Time at = simulator_->Now();
-    for (int k = 0; k < batch; ++k) {
-        const double gap_s = config_.poisson
-                                 ? rng_.Exponential(1.0 / config_.rate_qps)
-                                 : 1.0 / config_.rate_qps;
-        at += static_cast<Time>(gap_s * 1e12);
-        if (at >= deadline_) return;  // injection window closed
-        const bool chains = k == batch - 1;
-        simulator_->ScheduleAt(at, [this, chains] {
-            InjectArrival();
-            if (chains) ScheduleArrival();
-        });
-    }
-}
-
-FederatedPhasedInjector::FederatedPhasedInjector(
-    FederatedDispatcher* dispatcher, sim::Simulator* simulator, Config config)
-    : dispatcher_(dispatcher),
-      simulator_(simulator),
+ArrivalLoop::ArrivalLoop(sim::Simulator* simulator, Target target,
+                         Config config)
+    : simulator_(simulator),
+      target_(std::move(target)),
       config_(std::move(config)),
-      generator_(config_.corpus_seed, config_.corpus) {
-    assert(dispatcher_ != nullptr && simulator_ != nullptr);
+      generator_(kCorpusSeed) {
+    assert(simulator_ != nullptr && target_);
     assert(std::is_sorted(config_.phase_offsets.begin(),
                           config_.phase_offsets.end()));
 }
 
-int FederatedPhasedInjector::PhaseOf(Time now) const {
-    const Time offset = now - load_start_;
-    int phase = 0;
-    for (const Time boundary : config_.phase_offsets) {
-        if (offset < boundary) break;
-        ++phase;
-    }
-    return phase;
+ArrivalLoop::ArrivalLoop(sim::Simulator* simulator, Target target, Rng rng,
+                         Config config)
+    : ArrivalLoop(simulator, std::move(target), std::move(config)) {
+    rng_ = rng;
 }
 
-FederatedPhasedInjector::Result FederatedPhasedInjector::Run() {
-    result_ = Result{};
-    result_.phases.assign(config_.phase_offsets.size() + 1, Phase{});
+std::size_t ArrivalLoop::PhaseOf(Time now) const {
+    const auto& bounds = config_.phase_offsets;
+    return static_cast<std::size_t>(
+        std::upper_bound(bounds.begin(), bounds.end(), now - load_start_) -
+        bounds.begin());
+}
+
+LoadResult ArrivalLoop::Run() {
+    result_ = LoadResult{};
+    result_.elapsed = config_.duration;
+    arrival_seq_ = 0;
     load_start_ = simulator_->Now();
     // Phase spans (final phase runs to the end of the arrival window).
+    const auto& bounds = config_.phase_offsets;
+    result_.phases.resize(bounds.size() + 1);
     for (std::size_t p = 0; p < result_.phases.size(); ++p) {
-        const Time start = p == 0 ? 0 : config_.phase_offsets[p - 1];
-        const Time end = p < config_.phase_offsets.size()
-                             ? config_.phase_offsets[p]
-                             : config_.duration;
-        result_.phases[p].start = start;
-        result_.phases[p].span = end - start;
+        Phase& phase = result_.phases[p];
+        phase.start = p == 0 ? 0 : bounds[p - 1];
+        phase.span =
+            (p < bounds.size() ? bounds[p] : config_.duration) - phase.start;
     }
-    assert(config_.rate_qps > 0.0);
-    const Time beat = static_cast<Time>(1e12 / config_.rate_qps);
-    const std::uint64_t arrivals =
-        static_cast<std::uint64_t>(config_.duration / beat);
-    if (config_.arrival_batch > 1) {
-        // Batch-leader chain: the pending queue holds one batch of
-        // near-horizon beats instead of the whole run's arrivals, so
-        // the far-horizon wheel/overflow churn of pre-scheduling
-        // disappears. Arrival times are beat-exact either way.
-        ScheduleBatchFrom(0, arrivals, beat);
-    } else {
-        for (std::uint64_t i = 0; i < arrivals; ++i) {
-            simulator_->ScheduleAt(load_start_ + beat * static_cast<Time>(i),
+    if (rng_) {
+        ScheduleNextArrival(simulator_, *rng_, config_.rate_qps,
+                            load_start_ + config_.duration,
+                            [this] { InjectArrival(); });
+    } else if (config_.rate_qps > 0.0) {
+        const Time beat = static_cast<Time>(1e12 / config_.rate_qps);
+        const Time arrivals = config_.duration / beat;
+        for (Time i = 0; i < arrivals; ++i) {
+            simulator_->ScheduleAt(load_start_ + beat * i,
                                    [this] { InjectArrival(); });
         }
     }
@@ -323,23 +214,17 @@ FederatedPhasedInjector::Result FederatedPhasedInjector::Run() {
     return result_;
 }
 
-void FederatedPhasedInjector::InjectArrival() {
-    Phase& arrival_phase = result_.phases[static_cast<std::size_t>(
-        PhaseOf(simulator_->Now()))];
+void ArrivalLoop::InjectArrival() {
+    Phase& arrival_phase = result_.phases[PhaseOf(simulator_->Now())];
     ++arrival_phase.arrivals;
-    rank::CompressedRequest request = generator_.Next();
-    if (config_.single_model) request.query.model_id = 0;
-    const int thread = arrival_seq_++ % config_.driver_threads;
-    const auto status = dispatcher_->Inject(
-        thread, request, [this](const ScoreResult& r) {
+    const int thread = arrival_seq_++ % kDriverThreads;
+    const auto status = target_(
+        thread, NextRequest(generator_), [this](const ScoreResult& r) {
             // Attribute the completion to the phase it *lands* in: that
             // is what retained-QPS-across-an-incident means (a query
             // delayed across a fault boundary counts against the
             // incident phase).
-            const std::size_t at = std::min(
-                static_cast<std::size_t>(PhaseOf(simulator_->Now())),
-                result_.phases.size() - 1);
-            Phase& phase = result_.phases[at];
+            Phase& phase = result_.phases[PhaseOf(simulator_->Now())];
             if (r.ok) {
                 ++phase.completed;
                 ++result_.completed;
@@ -347,40 +232,21 @@ void FederatedPhasedInjector::InjectArrival() {
                     ++phase.completed_in_slo;
                 }
                 phase.latency_us.Add(ToMicroseconds(r.latency));
+                result_.latency_us.Add(ToMicroseconds(r.latency));
             } else {
-                ++phase.failed;
-                ++result_.failed;
+                ++phase.timeouts;
+                ++result_.timeouts;
             }
         });
     if (status == host::SendStatus::kOk) {
         ++arrival_phase.accepted;
         ++result_.accepted;
     } else {
+        // An arrival the admission control refuses is answered now and
+        // dropped, never queued client-side.
         ++arrival_phase.rejected;
         ++result_.rejected;
     }
-}
-
-void FederatedPhasedInjector::ScheduleBatchFrom(std::uint64_t index,
-                                                std::uint64_t total,
-                                                Time beat) {
-    if (index >= total) return;
-    simulator_->ScheduleAt(
-        load_start_ + beat * static_cast<Time>(index),
-        [this, index, total, beat] {
-            // The leader is its own batch's first arrival; it schedules
-            // only the rest of its batch plus the next leader.
-            InjectArrival();
-            const auto batch = static_cast<std::uint64_t>(
-                std::max(1, config_.arrival_batch));
-            const std::uint64_t last = std::min(index + batch, total);
-            for (std::uint64_t i = index + 1; i < last; ++i) {
-                simulator_->ScheduleAt(
-                    load_start_ + beat * static_cast<Time>(i),
-                    [this] { InjectArrival(); });
-            }
-            ScheduleBatchFrom(last, total, beat);
-        });
 }
 
 OpenLoopInjector::OpenLoopInjector(RankingService* service, Rng rng,
@@ -388,7 +254,7 @@ OpenLoopInjector::OpenLoopInjector(RankingService* service, Rng rng,
     : service_(service),
       rng_(rng),
       config_(std::move(config)),
-      generator_(config_.corpus_seed, config_.corpus) {
+      generator_(kCorpusSeed) {
     assert(service_ != nullptr);
 }
 
@@ -401,38 +267,27 @@ LoadResult OpenLoopInjector::Run() {
         NodeState& node = nodes_[i];
         node.slot_busy.assign(
             static_cast<std::size_t>(config_.threads_per_node), false);
-        node.cpu = std::make_unique<rank::CpuPool>(sim, rng_.Fork(),
-                                                   config_.cpu);
+        node.cpu = std::make_unique<rank::CpuPool>(sim, rng_.Fork());
         service_->host(config_.injecting_ring_indices[i])
             ->driver()
             .AssignThreads(std::max(1, config_.threads_per_node));
     }
-    const Time start = sim->Now();
-    deadline_ = start + config_.duration;
-    for (std::size_t i = 0; i < config_.injecting_ring_indices.size(); ++i) {
-        ScheduleArrival(static_cast<int>(i));
+    deadline_ = sim->Now() + config_.duration;
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        const int node_index = static_cast<int>(i);
+        ScheduleNextArrival(sim, rng_, config_.rate_per_server, deadline_,
+                            [this, node_index] {
+                                PendingDoc doc;
+                                doc.request = NextRequest(generator_);
+                                doc.arrived = service_->simulator()->Now();
+                                nodes_[static_cast<std::size_t>(node_index)]
+                                    .backlog.push_back(std::move(doc));
+                                TryDispatch(node_index);
+                            });
     }
     sim->Run();
     result_.elapsed = config_.duration;
     return result_;
-}
-
-void OpenLoopInjector::ScheduleArrival(int node_index) {
-    auto* sim = service_->simulator();
-    if (config_.rate_per_server <= 0.0) return;
-    const double gap_s = rng_.Exponential(1.0 / config_.rate_per_server);
-    const Time when = sim->Now() + static_cast<Time>(gap_s * 1e12);
-    if (when >= deadline_) return;  // injection window closed
-    sim->ScheduleAt(when, [this, node_index] {
-        PendingDoc doc;
-        doc.request = generator_.Next();
-        doc.arrived = service_->simulator()->Now();
-        if (config_.single_model) doc.request.query.model_id = 0;
-        nodes_[static_cast<std::size_t>(node_index)].backlog.push_back(
-            std::move(doc));
-        TryDispatch(node_index);
-        ScheduleArrival(node_index);
-    });
 }
 
 void OpenLoopInjector::TryDispatch(int node_index) {
@@ -452,18 +307,13 @@ void OpenLoopInjector::TryDispatch(int node_index) {
     node.backlog.pop_front();
     node.slot_busy[static_cast<std::size_t>(thread)] = true;
 
-    if (config_.host_preprocessing) {
-        // The software portion of ranking runs first (§4), then the
-        // encoded document is injected into the local FPGA.
-        const Time prep = config_.cost.PrepServiceTime(doc.request);
-        auto* cpu = node.cpu.get();
-        cpu->Submit(prep, [this, node_index, doc = std::move(doc),
-                           thread]() mutable {
-            InjectPrepared(node_index, std::move(doc), thread);
-        });
-        return;
-    }
-    InjectPrepared(node_index, std::move(doc), thread);
+    // The software portion of ranking runs first (§4), then the encoded
+    // document is injected into the local FPGA.
+    const Time prep = kHostCost.PrepServiceTime(doc.request);
+    node.cpu->Submit(prep, [this, node_index, doc = std::move(doc),
+                            thread]() mutable {
+        InjectPrepared(node_index, std::move(doc), thread);
+    });
 }
 
 void OpenLoopInjector::InjectPrepared(int node_index, PendingDoc doc,
@@ -506,39 +356,33 @@ SoftwareLoadRunner::SoftwareLoadRunner(sim::Simulator* simulator,
     : simulator_(simulator),
       model_(model),
       rng_(rng),
-      config_(std::move(config)),
-      generator_(config_.corpus_seed, config_.corpus) {
+      config_(config),
+      generator_(kCorpusSeed) {
     assert(simulator_ != nullptr && model_ != nullptr);
     for (int s = 0; s < config_.servers; ++s) {
         servers_.push_back(std::make_unique<rank::SoftwareRankServer>(
-            simulator_, rng_.Fork(), config_.server));
+            simulator_, rng_.Fork()));
     }
 }
 
 LoadResult SoftwareLoadRunner::Run() {
     result_ = LoadResult{};
-    const Time start = simulator_->Now();
-    deadline_ = start + config_.duration;
-    for (int s = 0; s < config_.servers; ++s) ScheduleArrival(s);
+    deadline_ = simulator_->Now() + config_.duration;
+    for (int s = 0; s < config_.servers; ++s) {
+        ScheduleNextArrival(
+            simulator_, rng_, config_.rate_per_server, deadline_, [this, s] {
+                servers_[static_cast<std::size_t>(s)]->Submit(
+                    generator_.Next(), *model_, [this](Time latency) {
+                        if (simulator_->Now() <= deadline_) {
+                            ++result_.completed;
+                        }
+                        result_.latency_us.Add(ToMicroseconds(latency));
+                    });
+            });
+    }
     simulator_->Run();
     result_.elapsed = config_.duration;
     return result_;
-}
-
-void SoftwareLoadRunner::ScheduleArrival(int server) {
-    if (config_.rate_per_server <= 0.0) return;
-    const double gap_s = rng_.Exponential(1.0 / config_.rate_per_server);
-    const Time when = simulator_->Now() + static_cast<Time>(gap_s * 1e12);
-    if (when >= deadline_) return;
-    simulator_->ScheduleAt(when, [this, server] {
-        const rank::CompressedRequest request = generator_.Next();
-        servers_[static_cast<std::size_t>(server)]->Submit(
-            request, *model_, [this](Time latency) {
-                if (simulator_->Now() <= deadline_) ++result_.completed;
-                result_.latency_us.Add(ToMicroseconds(latency));
-            });
-        ScheduleArrival(server);
-    });
 }
 
 }  // namespace catapult::service

@@ -6,12 +6,18 @@
 //  * open-loop: Poisson arrivals at a configured rate per server,
 //    documents queue host-side for free slots (Figures 14-15 sweep
 //    normalized injection rates against the software baseline).
+//
+// Pool- and federation-level load goes through one seam, `Target`:
+// ClientLoop (closed loop) and ArrivalLoop (open loop) inject into
+// whatever `InjectInto` wraps. The ring-level figure harnesses keep
+// their own per-thread slot discipline.
 
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -20,28 +26,72 @@
 #include "rank/document.h"
 #include "rank/document_generator.h"
 #include "rank/software_ranker.h"
-#include "service/federated_dispatcher.h"
 #include "service/ranking_service.h"
-#include "service/service_pool.h"
 #include "sim/simulator.h"
 #include "sim/simulator_group.h"
 
 namespace catapult::service {
+
+/** One ArrivalLoop phase (see ArrivalLoop::Config::phase_offsets). */
+struct Phase {
+    Time start = 0;  ///< Offset from load start.
+    Time span = 0;
+    std::uint64_t arrivals = 0;
+    std::uint64_t accepted = 0;
+    std::uint64_t rejected = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t completed_in_slo = 0;
+    std::uint64_t timeouts = 0;
+    SampleStat latency_us;
+
+    /** Completions per second of wall-phase time. */
+    double Qps() const {
+        const double s = ToSeconds(span);
+        return s > 0 ? static_cast<double>(completed) / s : 0.0;
+    }
+    /** Completions inside the SLO per second of wall-phase time. */
+    double SloQps() const {
+        const double s = ToSeconds(span);
+        return s > 0 ? static_cast<double>(completed_in_slo) / s : 0.0;
+    }
+};
 
 /** Latency/throughput measurements from one run. */
 struct LoadResult {
     SampleStat latency_us;
     std::uint64_t completed = 0;
     std::uint64_t timeouts = 0;
-    /** Arrivals refused up front (admission control; open loop only). */
+    /** Arrivals the target took / refused up front (open loop only). */
+    std::uint64_t accepted = 0;
     std::uint64_t rejected = 0;
     Time elapsed = 0;
+    /** ArrivalLoop only: one entry per phase, summing to the totals. */
+    std::vector<Phase> phases;
 
     double ThroughputPerSecond() const {
         const double s = ToSeconds(elapsed);
         return s > 0 ? static_cast<double>(completed) / s : 0.0;
     }
 };
+
+using Completion = std::function<void(const ScoreResult&)>;
+
+/**
+ * Where pool- and federation-level load goes: inject `request` from
+ * driver thread `thread`, answer now with a SendStatus, and call the
+ * completion later iff the send was accepted.
+ */
+using Target = std::function<host::SendStatus(
+    int thread, const rank::CompressedRequest&, Completion)>;
+
+/** A Target over a ServicePool or a FederatedDispatcher. */
+template <typename T>
+Target InjectInto(T* target) {
+    return [target](int thread, const rank::CompressedRequest& request,
+                    Completion done) {
+        return target->Inject(thread, request, std::move(done));
+    };
+}
 
 /**
  * Closed-loop injector: `threads` per injecting node, each thread owns
@@ -53,10 +103,6 @@ class ClosedLoopInjector {
         std::vector<int> injecting_ring_indices = {0};
         int threads_per_node = 1;
         int documents_per_thread = 200;
-        std::uint64_t corpus_seed = 42;
-        rank::DocumentGenerator::Config corpus;
-        /** Force every document to one model (no reload churn). */
-        bool single_model = true;
     };
 
     ClosedLoopInjector(RankingService* service, Config config);
@@ -65,192 +111,77 @@ class ClosedLoopInjector {
     LoadResult Run();
 
   private:
-    void StartThread(int ring_index, int thread);
     void SendNext(int ring_index, int thread, int remaining);
 
     RankingService* service_;
     Config config_;
     rank::DocumentGenerator generator_;
     LoadResult result_;
-    int outstanding_ = 0;
     Time started_ = 0;
     Time last_completion_ = 0;
 };
 
 /**
- * Pool-level closed loop: `concurrency` logical clients, each keeping
- * one document outstanding against the pool's dispatcher. The pool
- * shards every send across its rings by policy, so the same offered
- * load measures 1-ring vs N-ring capacity (bench_pool_scaling).
+ * Closed loop against a Target: `concurrency` logical clients, each
+ * keeping one document outstanding. The target shards every send (a
+ * pool across rings, a federation across pods), so the same offered
+ * load measures 1 vs N ring/pod capacity (bench_pool_scaling,
+ * bench_federation). A refused send is retried after kRetryDelay; a
+ * client refused kMaxRetries times in a row gives up and counts one
+ * timeout, so a target that never recovers cannot hang Run().
  */
-class PoolClosedLoopInjector {
+class ClientLoop {
   public:
     struct Config {
-        /** Outstanding documents across the whole pool. */
+        /** Outstanding documents across the whole target. */
         int concurrency = 32;
-        /** Driver threads registered per host (PodTestbed default 32);
-         *  clients map onto them modulo this, and slot collisions
-         *  between clients sharing a thread id resolve via retry. */
-        int driver_threads = 32;
         /** Total documents to complete. */
         int documents = 2'000;
-        std::uint64_t corpus_seed = 42;
-        rank::DocumentGenerator::Config corpus;
-        /** Force every document to one model (no reload churn). */
-        bool single_model = true;
-        /** Retry delay when the pool rejects (all rings drained). */
-        Time retry_delay = Microseconds(100);
-        /**
-         * Consecutive rejections a client tolerates before giving up
-         * (counted as one timeout). Bounds Run() when the pool never
-         * recovers — without it a permanently drained pool would retry
-         * forever and the simulation would never drain.
-         */
-        int max_retries = 1'000;
     };
 
-    PoolClosedLoopInjector(ServicePool* pool, Config config);
+    static constexpr Time kRetryDelay = Microseconds(100);
+    static constexpr int kMaxRetries = 1'000;
+
+    ClientLoop(sim::Simulator* simulator, Target target, Config config);
 
     /** Run to completion; returns the measurements. */
     LoadResult Run();
 
   private:
-    ServicePool* pool_;
-    Config config_;
-    rank::DocumentGenerator generator_;
-};
-
-/**
- * Federation-level closed loop: `concurrency` logical clients, each
- * keeping one query outstanding against the FederatedDispatcher, which
- * shards every send across its pods by policy. The same offered load
- * measures 1-pod vs N-pod capacity (bench_federation).
- */
-class FederatedClosedLoopInjector {
-  public:
-    struct Config {
-        /** Outstanding queries across the whole federation. */
-        int concurrency = 32;
-        /** Driver threads registered per host; clients map modulo. */
-        int driver_threads = 32;
-        /** Total queries to complete. */
-        int documents = 2'000;
-        std::uint64_t corpus_seed = 42;
-        rank::DocumentGenerator::Config corpus;
-        /** Force every query to one model (no reload churn). */
-        bool single_model = true;
-        /** Retry delay when the federation rejects outright. */
-        Time retry_delay = Microseconds(100);
-        /** Consecutive rejections a client tolerates before giving up. */
-        int max_retries = 1'000;
-    };
-
-    FederatedClosedLoopInjector(FederatedDispatcher* dispatcher,
-                                sim::Simulator* simulator, Config config);
-
-    /**
-     * Sharded federation: `simulator` must be the group's coordinator
-     * shard and Run() drives the whole group (epoch barriers included)
-     * instead of the lone simulator.
-     */
-    void set_group(sim::SimulatorGroup* group) { group_ = group; }
-
-    /** Run to completion; returns the measurements. */
-    LoadResult Run();
-
-  private:
-    FederatedDispatcher* dispatcher_;
     sim::Simulator* simulator_;
-    sim::SimulatorGroup* group_ = nullptr;
+    Target target_;
     Config config_;
     rank::DocumentGenerator generator_;
 };
 
 /**
- * Federation-level open loop: a fixed arrival rate against the
- * FederatedDispatcher — arrivals are independent of completions, the
- * production traffic shape. There is no client-side queue or retry:
- * the dispatcher's per-pod admission cap answers every arrival
- * immediately, and a refused arrival is *rejected*, not parked — the
- * first step of the admission-control story (bounded queues, fast
- * feedback to the traffic source) rather than unbounded host-side
- * buffering.
+ * Open loop against a Target: arrivals are independent of completions,
+ * the production traffic shape. There is no client-side queue or
+ * retry: the target answers every arrival immediately, and a refused
+ * arrival is *rejected*, not parked — admission control (bounded
+ * queues, fast feedback to the traffic source) rather than unbounded
+ * host-side buffering.
+ *
+ * Constructed with an Rng, arrivals form a Poisson chain. Without one
+ * they follow a fixed beat pre-scheduled at load start + beat * i, so
+ * offered load is identical run to run: the harness for staged-failure
+ * scenarios, where phase boundaries at fault injection, shed,
+ * re-admission and settle points let a bench compare steady-state QPS
+ * across an incident numerically.
  */
-class FederatedOpenLoopInjector {
+class ArrivalLoop {
   public:
     struct Config {
-        /** Mean arrivals per second across the whole federation. */
+        /** Mean arrivals per second across the whole target. */
         double rate_qps = 20'000.0;
-        Time duration = Milliseconds(100);
-        /** Exponential interarrivals (Poisson) or a fixed beat. */
-        bool poisson = true;
-        /** Driver threads registered per host; arrivals rotate over them. */
-        int driver_threads = 32;
-        std::uint64_t corpus_seed = 42;
-        rank::DocumentGenerator::Config corpus;
-        bool single_model = true;
-        /**
-         * Arrivals scheduled per generator event. 1 is the classic
-         * one-event-per-arrival chain; K > 1 draws K interarrival gaps
-         * at once and schedules K arrival events per chain link —
-         * identical arrival times and RNG draw order (verified by
-         * test), ~1/K the chain-bookkeeping event traffic.
-         */
-        int arrival_batch = 1;
-    };
-
-    FederatedOpenLoopInjector(FederatedDispatcher* dispatcher,
-                              sim::Simulator* simulator, Rng rng,
-                              Config config);
-
-    /** Sharded federation: Run() drives the whole group. */
-    void set_group(sim::SimulatorGroup* group) { group_ = group; }
-
-    LoadResult Run();
-
-  private:
-    void ScheduleArrival();
-    void InjectArrival();
-
-    FederatedDispatcher* dispatcher_;
-    sim::Simulator* simulator_;
-    sim::SimulatorGroup* group_ = nullptr;
-    Rng rng_;
-    Config config_;
-    rank::DocumentGenerator generator_;
-    LoadResult result_;
-    int arrival_seq_ = 0;
-    Time deadline_ = 0;
-};
-
-/**
- * Degradation-ramp / incident load: a *paced* open loop (fixed
- * interarrival beat, so offered load is identical run to run) against
- * the FederatedDispatcher, with completions attributed to caller-named
- * phases. This is the measurement harness for staged-failure
- * scenarios: phase boundaries at fault injection, shed, re-admission
- * and settle points let a bench compare steady-state QPS across an
- * incident numerically — predictive shed vs reactive-only, pre-fault
- * vs post-readmission — instead of eyeballing a time series.
- */
-class FederatedPhasedInjector {
-  public:
-    struct Config {
-        /** Arrivals per second (fixed beat — no Poisson jitter). */
-        double rate_qps = 25'000.0;
         Time duration = Milliseconds(100);
         /**
          * Ascending offsets from load start; k boundaries make k+1
          * phases. Arrivals/accepts/rejects are attributed to the phase
-         * of the arrival, completions/failures to the phase of the
+         * of the arrival, completions/timeouts to the phase of the
          * completion (late completions land in the final phase).
          */
         std::vector<Time> phase_offsets;
-        /** Driver threads registered per host; arrivals rotate. */
-        int driver_threads = 32;
-        std::uint64_t corpus_seed = 42;
-        rank::DocumentGenerator::Config corpus;
-        bool single_model = true;
         /**
          * Latency SLO for goodput accounting (0 = off): a completion
          * slower than this still counts in `completed` but not in
@@ -260,71 +191,35 @@ class FederatedPhasedInjector {
          * goodput is where that damage shows up numerically.
          */
         Time slo = 0;
-        /**
-         * Arrivals per generator event. 1 (default) pre-schedules every
-         * beat up front — the classic shape, byte-identical to PR 7.
-         * K > 1 chains batch-leader events: each leader injects its own
-         * arrival and schedules only the next K-1 beats plus the next
-         * leader, so the pending-event queue holds ~K arrivals instead
-         * of the whole run and far-horizon wheel churn disappears.
-         * Arrival times are identical either way.
-         */
-        int arrival_batch = 1;
     };
 
-    struct Phase {
-        Time start = 0;  ///< Offset from load start.
-        Time span = 0;
-        std::uint64_t arrivals = 0;
-        std::uint64_t accepted = 0;
-        std::uint64_t rejected = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t completed_in_slo = 0;
-        std::uint64_t failed = 0;
-        SampleStat latency_us;
+    /** Fixed-beat arrivals. */
+    ArrivalLoop(sim::Simulator* simulator, Target target, Config config);
+    /** Poisson arrivals drawn from `rng`. */
+    ArrivalLoop(sim::Simulator* simulator, Target target, Rng rng,
+                Config config);
 
-        /** Completions per second of wall-phase time. */
-        double Qps() const {
-            const double s = ToSeconds(span);
-            return s > 0 ? static_cast<double>(completed) / s : 0.0;
-        }
-        /** Completions inside the SLO per second of wall-phase time. */
-        double SloQps() const {
-            const double s = ToSeconds(span);
-            return s > 0 ? static_cast<double>(completed_in_slo) / s : 0.0;
-        }
-    };
-
-    struct Result {
-        std::vector<Phase> phases;
-        std::uint64_t accepted = 0;
-        std::uint64_t rejected = 0;
-        std::uint64_t completed = 0;
-        std::uint64_t failed = 0;
-    };
-
-    FederatedPhasedInjector(FederatedDispatcher* dispatcher,
-                            sim::Simulator* simulator, Config config);
-
-    /** Sharded federation: Run() drives the whole group. */
+    /**
+     * Sharded federation: `simulator` must be the group's coordinator
+     * shard and Run() drives the whole group (epoch barriers included)
+     * instead of the lone simulator.
+     */
     void set_group(sim::SimulatorGroup* group) { group_ = group; }
 
-    /** Run to completion (arrivals + drain); returns per-phase stats. */
-    Result Run();
+    /** Run to completion (arrivals + drain); returns the measurements. */
+    LoadResult Run();
 
   private:
-    int PhaseOf(Time now) const;
+    std::size_t PhaseOf(Time now) const;
     void InjectArrival();
-    /** Batch-leader chain (arrival_batch > 1): leader at `index`. */
-    void ScheduleBatchFrom(std::uint64_t index, std::uint64_t total,
-                           Time beat);
 
-    FederatedDispatcher* dispatcher_;
     sim::Simulator* simulator_;
     sim::SimulatorGroup* group_ = nullptr;
+    Target target_;
+    std::optional<Rng> rng_;
     Config config_;
     rank::DocumentGenerator generator_;
-    Result result_;
+    LoadResult result_;
     Time load_start_ = 0;
     int arrival_seq_ = 0;
 };
@@ -332,7 +227,9 @@ class FederatedPhasedInjector {
 /**
  * Open-loop injector: Poisson arrivals per injecting server. Arrivals
  * beyond the available slots queue host-side (the production software
- * stack in front of the driver).
+ * stack in front of the driver), and each document first pays the
+ * host-side software portion of ranking on a CPU pool (§4: SSD lookup,
+ * hit-vector computation, software features).
  */
 class OpenLoopInjector {
   public:
@@ -342,16 +239,6 @@ class OpenLoopInjector {
         double rate_per_server = 5'000.0;
         Time duration = Milliseconds(200);
         int threads_per_node = 32;
-        std::uint64_t corpus_seed = 42;
-        rank::DocumentGenerator::Config corpus;
-        bool single_model = true;
-        /**
-         * Model the software portion that stays on the host CPU (§4:
-         * SSD lookup, hit-vector computation, software features).
-         */
-        bool host_preprocessing = true;
-        rank::CpuPool::Config cpu;
-        rank::SoftwareCostModel cost;
     };
 
     OpenLoopInjector(RankingService* service, Rng rng, Config config);
@@ -370,8 +257,7 @@ class OpenLoopInjector {
         std::unique_ptr<rank::CpuPool> cpu;
     };
 
-    void ScheduleArrival(int ring_index);
-    void TryDispatch(int ring_index);
+    void TryDispatch(int node_index);
     void InjectPrepared(int node_index, PendingDoc doc, int thread);
 
     RankingService* service_;
@@ -393,9 +279,6 @@ class SoftwareLoadRunner {
         int servers = 8;
         double rate_per_server = 5'000.0;
         Time duration = Milliseconds(200);
-        std::uint64_t corpus_seed = 42;
-        rank::DocumentGenerator::Config corpus;
-        rank::SoftwareRankServer::Config server;
     };
 
     SoftwareLoadRunner(sim::Simulator* simulator, const rank::Model* model,
@@ -404,8 +287,6 @@ class SoftwareLoadRunner {
     LoadResult Run();
 
   private:
-    void ScheduleArrival(int server);
-
     sim::Simulator* simulator_;
     const rank::Model* model_;
     Rng rng_;

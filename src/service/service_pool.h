@@ -190,7 +190,6 @@ class ServicePool {
     int total_in_flight() const;
 
     QueryDispatcher& dispatcher() { return dispatcher_; }
-    sim::Simulator* simulator() { return simulator_; }
     fabric::CatapultFabric* fabric() { return fabric_; }
 
     struct Counters {

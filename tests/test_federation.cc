@@ -182,12 +182,12 @@ TEST(FederatedDispatcher, OpenLoopLoadRejectsBeyondTheAdmissionCap) {
     FederationTestbed bed(config);
     ASSERT_TRUE(bed.DeployAndSettle());
 
-    FederatedOpenLoopInjector::Config load;
+    ArrivalLoop::Config load;
     // Far beyond two rings' capacity, so the cap must engage.
     load.rate_qps = 100'000.0;
     load.duration = Milliseconds(20);
-    FederatedOpenLoopInjector injector(&bed.dispatcher(), &bed.simulator(),
-                                       Rng(23), load);
+    ArrivalLoop injector(&bed.simulator(), InjectInto(&bed.dispatcher()),
+                         Rng(23), load);
     const LoadResult result = injector.Run();
 
     EXPECT_GT(result.completed, 0u);
@@ -422,11 +422,9 @@ TEST(FederatedLoad, ClosedLoopScalesFromOneToTwoPods) {
     for (int pods = 1; pods <= 2; ++pods) {
         FederationTestbed bed(FastFederation(pods, /*rings=*/1));
         ASSERT_TRUE(bed.DeployAndSettle());
-        FederatedClosedLoopInjector::Config load;
-        load.concurrency = 32;  // saturates a single ring (~12, Fig. 9)
-        load.documents = 400;
-        FederatedClosedLoopInjector injector(&bed.dispatcher(),
-                                             &bed.simulator(), load);
+        // 32 outstanding saturates a single ring (~12, Fig. 9).
+        ClientLoop injector(&bed.simulator(), InjectInto(&bed.dispatcher()),
+                            {.concurrency = 32, .documents = 400});
         const LoadResult result = injector.Run();
         EXPECT_EQ(result.completed, 400u);
         EXPECT_EQ(result.timeouts, 0u);

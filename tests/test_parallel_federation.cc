@@ -19,7 +19,6 @@
 #include "common/object_pool.h"
 #include "rank/document_generator.h"
 #include "service/federation_testbed.h"
-#include "service/load_generator.h"
 
 namespace catapult::service {
 namespace {
@@ -172,76 +171,6 @@ TEST(ParallelFederation, ParallelRunIsBitIdenticalToLockstep) {
     EXPECT_EQ(lockstep.metrics_json, threaded.metrics_json);
     EXPECT_EQ(lockstep.trace_json, threaded.trace_json);
     EXPECT_EQ(lockstep.snapshots, threaded.snapshots);
-}
-
-// ---------------------------------------------------- batched injection
-
-FederationTestbed::Config TwoPodConfig() {
-    FederationTestbed::Config config;
-    config.pod_count = 2;
-    config.pod.ring_count = 1;
-    config.pod.fabric.device.configure_time = Milliseconds(5);
-    return config;
-}
-
-TEST(BatchedInjection, OpenLoopBatchPreservesSimulatedMetrics) {
-    auto run = [](int batch) {
-        FederationTestbed bed(TwoPodConfig());
-        EXPECT_TRUE(bed.DeployAndSettle());
-        FederatedOpenLoopInjector::Config load;
-        load.rate_qps = 30'000.0;
-        load.duration = Milliseconds(30);
-        load.arrival_batch = batch;
-        FederatedOpenLoopInjector injector(&bed.dispatcher(),
-                                           &bed.simulator(), Rng(23), load);
-        return injector.Run();
-    };
-    const LoadResult one = run(1);
-    const LoadResult eight = run(8);
-    EXPECT_GT(one.completed, 0u);
-    EXPECT_EQ(one.completed, eight.completed);
-    EXPECT_EQ(one.timeouts, eight.timeouts);
-    EXPECT_EQ(one.rejected, eight.rejected);
-    EXPECT_EQ(one.elapsed, eight.elapsed);
-    ASSERT_EQ(one.latency_us.count(), eight.latency_us.count());
-    // Same RNG draw order, same arrival times, same completions: the
-    // latency samples match exactly, not just in aggregate.
-    EXPECT_EQ(one.latency_us.samples(), eight.latency_us.samples());
-}
-
-TEST(BatchedInjection, PhasedBatchPreservesSimulatedMetrics) {
-    auto run = [](int batch) {
-        FederationTestbed bed(TwoPodConfig());
-        EXPECT_TRUE(bed.DeployAndSettle());
-        FederatedPhasedInjector::Config load;
-        load.rate_qps = 20'000.0;
-        load.duration = Milliseconds(40);
-        load.phase_offsets = {Milliseconds(20)};
-        load.slo = Milliseconds(2);
-        load.arrival_batch = batch;
-        FederatedPhasedInjector injector(&bed.dispatcher(),
-                                         &bed.simulator(), load);
-        return injector.Run();
-    };
-    const auto one = run(1);
-    const auto eight = run(8);
-    EXPECT_GT(one.completed, 0u);
-    EXPECT_EQ(one.accepted, eight.accepted);
-    EXPECT_EQ(one.rejected, eight.rejected);
-    EXPECT_EQ(one.completed, eight.completed);
-    EXPECT_EQ(one.failed, eight.failed);
-    ASSERT_EQ(one.phases.size(), eight.phases.size());
-    for (std::size_t p = 0; p < one.phases.size(); ++p) {
-        EXPECT_EQ(one.phases[p].arrivals, eight.phases[p].arrivals) << p;
-        EXPECT_EQ(one.phases[p].accepted, eight.phases[p].accepted) << p;
-        EXPECT_EQ(one.phases[p].completed, eight.phases[p].completed) << p;
-        EXPECT_EQ(one.phases[p].completed_in_slo,
-                  eight.phases[p].completed_in_slo)
-            << p;
-        EXPECT_EQ(one.phases[p].latency_us.samples(),
-                  eight.phases[p].latency_us.samples())
-            << p;
-    }
 }
 
 // ------------------------------------------------------ pool migration

@@ -209,12 +209,12 @@ TEST(PredictiveDispatch, DegradationRampShedsPodBeforeHardFailure) {
     bed.pod(0).failure_injector().ScheduleDegradationRamp(
         ramp_nodes, ramp_at, Milliseconds(15));
 
-    FederatedPhasedInjector::Config load;
+    ArrivalLoop::Config load;
     load.rate_qps = 10'000.0;
     load.duration = Milliseconds(300);
     load.phase_offsets = {Milliseconds(30)};
-    FederatedPhasedInjector injector(&bed.dispatcher(), &bed.simulator(),
-                                     load);
+    ArrivalLoop injector(&bed.simulator(), InjectInto(&bed.dispatcher()),
+                         load);
     const auto result = injector.Run();
 
     // The pod was proactively shed...
@@ -225,7 +225,7 @@ TEST(PredictiveDispatch, DegradationRampShedsPodBeforeHardFailure) {
     // around pod 0 while it was out of rotation.
     EXPECT_GT(pod0.shed_queries, 0u);
     // Nothing accepted was lost across the whole incident.
-    EXPECT_EQ(result.failed, 0u);
+    EXPECT_EQ(result.timeouts, 0u);
     EXPECT_EQ(bed.dispatcher().counters().lost, 0u);
     EXPECT_EQ(result.completed, result.accepted);
     // The healthy pod carried the bulk of the incident phase.

@@ -189,10 +189,8 @@ TEST(ServicePool, ClosedLoopLoadSpreadsAcrossRings) {
     PodTestbed bed(PoolConfig(3));
     ASSERT_TRUE(bed.DeployAndSettle());
 
-    PoolClosedLoopInjector::Config load;
-    load.concurrency = 24;
-    load.documents = 240;
-    PoolClosedLoopInjector injector(&bed.pool(), load);
+    ClientLoop injector(&bed.simulator(), InjectInto(&bed.pool()),
+                        {.concurrency = 24, .documents = 240});
     const LoadResult result = injector.Run();
     EXPECT_EQ(result.completed, 240u);
     EXPECT_EQ(result.timeouts, 0u);
