@@ -61,6 +61,48 @@ void BM_FeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction)->Arg(1'024)->Arg(6'500)->Arg(65'000);
 
+/** Production-sized model (Model::Config defaults), generated once. */
+const rank::Model& ProductionModel() {
+    static const auto model = rank::Model::Generate(0, 42);
+    return *model;
+}
+
+// Both FFE chips' level schedules on one extracted 6.5 KB document;
+// time per iteration is ns per document.
+void BM_FfePartition(benchmark::State& state) {
+    rank::RankingFunction function(&ProductionModel());
+    rank::DocumentGenerator generator(42);
+    rank::FeatureStore store;
+    function.ExtractFeatures(generator.WithTargetSize(6'500), store);
+    for (auto _ : state) {
+        function.RunFfe0(store);
+        function.RunFfe1(store);
+        benchmark::DoNotOptimize(store.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FfePartition);
+
+// All three scoring shards' flat tree walks over one compressed
+// document; time per iteration is ns per document.
+void BM_EnsembleScore(benchmark::State& state) {
+    const rank::Model& model = ProductionModel();
+    rank::RankingFunction function(&model);
+    rank::DocumentGenerator generator(42);
+    rank::FeatureStore store;
+    function.ExtractFeatures(generator.WithTargetSize(6'500), store);
+    function.RunFfe0(store);
+    function.RunFfe1(store);
+    rank::FeatureStore compressed;
+    function.Compress(store, compressed);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(model.ensemble().Score(compressed));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EnsembleScore);
+
 void BM_FullFunctionalScore(benchmark::State& state) {
     static const auto model = [] {
         rank::Model::Config config;

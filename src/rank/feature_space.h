@@ -66,6 +66,7 @@ class FeatureStore {
     }
 
     const std::vector<float>& raw() const { return values_; }
+    float* data() { return values_.data(); }
 
   private:
     std::vector<float> values_;

@@ -58,43 +58,73 @@ Program FfeCompiler::Compile(const Expr& expr,
     return program;
 }
 
+namespace {
+
+/**
+ * Append the op count of every subtree of `expr` to `sizes` in
+ * pre-order: a node's first child sits at its index + 1, and each later
+ * child right after the previous child's subtree.
+ */
+int SubtreeSizes(const Expr& expr, std::vector<int>& sizes) {
+    const std::size_t at = sizes.size();
+    sizes.push_back(0);
+    int size = 1;
+    for (const auto& child : expr.children) size += SubtreeSizes(*child, sizes);
+    sizes[at] = size;
+    return size;
+}
+
+}  // namespace
+
 std::vector<FfeCompiler::MetafeaturePart> FfeCompiler::SplitForMetafeatures(
     Expr& expr, std::uint32_t& next_meta_slot) const {
     std::vector<MetafeaturePart> upstream;
-    if (expr.OpCount() <= config_.split_threshold_ops) return upstream;
 
     // Walk the tree; when a subtree of <= chunk ops (but substantial
     // size) hangs under an oversized node, detach it, assign it a
     // metafeature slot, and replace it with a feature load. Repeat
-    // until the remainder fits the threshold.
+    // until the remainder fits the threshold. Subtree sizes are
+    // recounted once per round, in one pass.
     const int chunk = config_.split_chunk_ops;
-    while (expr.OpCount() > config_.split_threshold_ops) {
-        // Find the largest subtree with OpCount <= chunk.
-        Expr* best = nullptr;
+    std::vector<int> sizes;
+    struct Visit {
+        ExprPtr* edge;
+        std::size_t index;  ///< Pre-order index into `sizes`.
+    };
+    std::vector<Visit> stack;
+    const auto push_children = [&](Expr& node, std::size_t index) {
+        std::size_t child_index = index + 1;
+        for (auto& child : node.children) {
+            stack.push_back(Visit{&child, child_index});
+            child_index += static_cast<std::size_t>(sizes[child_index]);
+        }
+    };
+    while (true) {
+        sizes.clear();
+        if (SubtreeSizes(expr, sizes) <= config_.split_threshold_ops) break;
+
+        // Find the largest subtree with OpCount <= chunk (iterative DFS
+        // over child edges, last child first).
         ExprPtr* best_edge = nullptr;
         int best_size = 0;
-
-        // Iterative DFS over child edges.
-        std::vector<ExprPtr*> stack;
-        for (auto& child : expr.children) stack.push_back(&child);
+        push_children(expr, 0);
         while (!stack.empty()) {
-            ExprPtr* edge = stack.back();
+            const Visit visit = stack.back();
             stack.pop_back();
-            Expr* node = edge->get();
-            const int size = node->OpCount();
+            const Expr* node = visit.edge->get();
+            const int size = sizes[visit.index];
             if (size <= chunk) {
                 // Candidate; don't descend further (children are smaller).
                 if (size > best_size && node->op != OpCode::kLoadFeature &&
                     node->op != OpCode::kLoadConst) {
                     best_size = size;
-                    best = node;
-                    best_edge = edge;
+                    best_edge = visit.edge;
                 }
                 continue;
             }
-            for (auto& child : node->children) stack.push_back(&child);
+            push_children(**visit.edge, visit.index);
         }
-        if (best == nullptr || best_edge == nullptr) break;  // degenerate
+        if (best_edge == nullptr) break;  // degenerate
 
         const std::uint32_t slot =
             kMetaFeatureBase + (next_meta_slot++ % kMetaFeatureSlots);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace catapult::rank::ffe {
 
@@ -12,70 +11,18 @@ FfeProcessor::FfeProcessor(Config config) : config_(config) {
     assert(config_.cores_per_cluster > 0);
 }
 
-void FfeProcessor::LoadPrograms(std::vector<Program> programs) {
-    programs_ = std::move(programs);
-    assignment_ = AssignThreads(programs_, config_.core_count,
+void FfeProcessor::Load(const Partition& partition) {
+    partition_ = &partition;
+    registers_.clear();
+    assignment_ = AssignThreads(partition.programs(), config_.core_count,
                                 config_.threads_per_core);
     RecomputeTiming();
 }
 
-float FfeProcessor::Execute(const Program& program,
-                            const FeatureStore& store) {
-    // Virtual register file sized by the program (hardware windows
-    // spill through the FST; numerically identical either way).
-    std::vector<float> regs(program.register_count, 0.0f);
-    float result = 0.0f;
-    for (const Instruction& instr : program.instructions) {
-        float value = 0.0f;
-        const float a = instr.op == OpCode::kLoadConst ||
-                                instr.op == OpCode::kLoadFeature
-                            ? 0.0f
-                            : regs[instr.src_a];
-        switch (instr.op) {
-          case OpCode::kLoadConst: value = instr.constant; break;
-          case OpCode::kLoadFeature: value = store.Get(instr.feature); break;
-          case OpCode::kAdd: value = a + regs[instr.src_b]; break;
-          case OpCode::kSub: value = a - regs[instr.src_b]; break;
-          case OpCode::kMul: value = a * regs[instr.src_b]; break;
-          case OpCode::kMax:
-            value = a > regs[instr.src_b] ? a : regs[instr.src_b];
-            break;
-          case OpCode::kMin:
-            value = a < regs[instr.src_b] ? a : regs[instr.src_b];
-            break;
-          case OpCode::kCmpGt:
-            value = a > regs[instr.src_b] ? 1.0f : 0.0f;
-            break;
-          case OpCode::kSelect:
-            value = a != 0.0f ? regs[instr.src_b] : regs[instr.src_c];
-            break;
-          case OpCode::kDiv: {
-            const float b = regs[instr.src_b];
-            value = b == 0.0f ? 0.0f : a / b;
-            break;
-          }
-          case OpCode::kLn:
-            value = std::log(a > 1e-30f ? a : 1e-30f);
-            break;
-          case OpCode::kExp: {
-            const float clamped = a > 60.0f ? 60.0f : (a < -60.0f ? -60.0f : a);
-            value = std::exp(clamped);
-            break;
-          }
-          case OpCode::kFloatToInt:
-            value = std::trunc(a);
-            break;
-        }
-        regs[instr.dst] = value;
-        result = value;
-    }
-    return result;
-}
-
-void FfeProcessor::ExecuteAll(FeatureStore& store) const {
-    for (const Program& program : programs_) {
-        store.Set(program.output_slot, Execute(program, store));
-    }
+void FfeProcessor::ExecuteAll(FeatureStore& store) {
+    assert(partition_ != nullptr);
+    if (registers_.empty()) registers_ = partition_->register_image();
+    partition_->Execute(store, registers_);
 }
 
 void FfeProcessor::RecomputeTiming() {
@@ -92,7 +39,8 @@ void FfeProcessor::RecomputeTiming() {
         for (const auto& queue : slots) {
             std::int64_t serial = 0;
             for (int index : queue) {
-                const Program& p = programs_[static_cast<std::size_t>(index)];
+                const Program& p =
+                    partition_->programs()[static_cast<std::size_t>(index)];
                 issue += p.InstructionCount();
                 serial += p.serial_latency;
                 cluster_complex[static_cast<std::size_t>(
@@ -124,9 +72,7 @@ Time FfeProcessor::DocumentServiceTime() const {
 }
 
 std::int64_t FfeProcessor::TotalInstructions() const {
-    std::int64_t total = 0;
-    for (const auto& p : programs_) total += p.InstructionCount();
-    return total;
+    return partition_ == nullptr ? 0 : partition_->TotalInstructions();
 }
 
 Bytes FfeProcessor::InstructionMemoryBytes() const {

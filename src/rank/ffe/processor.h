@@ -13,12 +13,12 @@
 //   * the complex block also houses the double-buffered Feature Storage
 //     Tile (FST).
 //
-// The functional interpreter executes compiled programs exactly (same
-// float operations, same order, as direct AST evaluation). The timing
-// model computes the per-document stage makespan from three binding
-// constraints: per-core issue bandwidth (1 instr/cycle shared by its 4
-// thread slots), per-thread serial dependency latency, and per-cluster
-// complex-block throughput.
+// Functional execution runs the loaded partition's level schedule
+// (rank/ffe/partition.h: the same float operations on the same values
+// as direct AST evaluation). The timing model computes the per-document
+// stage makespan from three binding constraints: per-core issue
+// bandwidth (1 instr/cycle shared by its 4 thread slots), per-thread
+// serial dependency latency, and per-cluster complex-block throughput.
 
 #pragma once
 
@@ -28,6 +28,7 @@
 #include "common/units.h"
 #include "rank/feature_space.h"
 #include "rank/ffe/compiler.h"
+#include "rank/ffe/partition.h"
 
 namespace catapult::rank::ffe {
 
@@ -49,21 +50,20 @@ class FfeProcessor {
     explicit FfeProcessor(Config config);
 
     /**
-     * Load a compiled model partition (programs + static assignment).
+     * Load a model partition and derive its static thread assignment.
      * Mirrors a Model Reload (§4.3): instruction memories rewritten.
+     * The partition is referenced, not copied, and must outlive this
+     * processor (or its next Load).
      */
-    void LoadPrograms(std::vector<Program> programs);
-
-    const std::vector<Program>& programs() const { return programs_; }
+    void Load(const Partition& partition);
 
     /**
      * Functional execution: run every loaded program against `store`,
-     * writing each result to its output FST slot.
+     * writing each result to its output FST slot. Uses this processor's
+     * own register scratch, so processors sharing one partition may run
+     * on different threads.
      */
-    void ExecuteAll(FeatureStore& store) const;
-
-    /** Execute one program (used by tests). */
-    static float Execute(const Program& program, const FeatureStore& store);
+    void ExecuteAll(FeatureStore& store);
 
     /**
      * Timing: stage cycles to process one document with the loaded
@@ -95,7 +95,8 @@ class FfeProcessor {
     void RecomputeTiming();
 
     Config config_;
-    std::vector<Program> programs_;
+    const Partition* partition_ = nullptr;
+    std::vector<float> registers_;  ///< Sized on first ExecuteAll.
     ThreadAssignment assignment_;
     TimingBreakdown breakdown_;
     std::int64_t document_cycles_ = 0;

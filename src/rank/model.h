@@ -27,7 +27,7 @@
 #include "rank/feature_space.h"
 #include "rank/ffe/compiler.h"
 #include "rank/ffe/expression.h"
-#include "rank/ffe/processor.h"
+#include "rank/ffe/partition.h"
 #include "rank/scorer.h"
 
 namespace catapult::rank {
@@ -74,9 +74,12 @@ class Model {
         return expressions_;
     }
 
-    /** Compiled partitions for the two FFE chips. */
-    const std::vector<ffe::Program>& ffe0_programs() const { return ffe0_; }
-    const std::vector<ffe::Program>& ffe1_programs() const { return ffe1_; }
+    /**
+     * The two FFE chips' partitions, lowered once here and shared by
+     * every RankingFunction (every ring) that loads this model.
+     */
+    const ffe::Partition& ffe0() const { return ffe0_; }
+    const ffe::Partition& ffe1() const { return ffe1_; }
 
     const ScoringEnsemble& ensemble() const { return ensemble_; }
     const CompressionStage& compression() const { return compression_; }
@@ -94,8 +97,8 @@ class Model {
 
     std::uint32_t model_id_ = 0;
     std::vector<ffe::ExprPtr> expressions_;
-    std::vector<ffe::Program> ffe0_;
-    std::vector<ffe::Program> ffe1_;
+    ffe::Partition ffe0_;
+    ffe::Partition ffe1_;
     ScoringEnsemble ensemble_;
     CompressionStage compression_;
     std::int64_t total_ffe_ops_ = 0;

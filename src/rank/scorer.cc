@@ -1,34 +1,58 @@
 #include "rank/scorer.h"
 
-#include <cassert>
-#include <cmath>
-
 namespace catapult::rank {
 
-float DecisionTree::Evaluate(const FeatureStore& store) const {
-    if (nodes.empty()) return 0.0f;
-    std::int32_t index = 0;
-    while (true) {
-        const TreeNode& node = nodes[static_cast<std::size_t>(index)];
-        if (node.feature == TreeNode::kLeaf) return node.leaf_value;
-        const float value = store.Get(node.feature);
-        index = value <= node.threshold ? node.left : node.right;
-        assert(index >= 0 && index < static_cast<std::int32_t>(nodes.size()));
+namespace {
+
+/** Append `tree`'s subtree at `index` to `out` in pre-order. */
+void Flatten(const DecisionTree& tree, std::int32_t index,
+             std::vector<ScorerShard::Node>& out) {
+    const TreeNode& node = tree.nodes[static_cast<std::size_t>(index)];
+    const std::size_t at = out.size();
+    out.push_back({node.feature,
+                   node.feature == TreeNode::kLeaf ? node.leaf_value
+                                                   : node.threshold,
+                   0});
+    if (node.feature == TreeNode::kLeaf) return;
+    Flatten(tree, node.left, out);
+    out[at].right = static_cast<std::uint32_t>(out.size());
+    Flatten(tree, node.right, out);
+}
+
+}  // namespace
+
+ScorerShard::ScorerShard(const std::vector<DecisionTree>& trees) {
+    roots_.reserve(trees.size());
+    for (const DecisionTree& tree : trees) {
+        roots_.push_back(static_cast<std::uint32_t>(nodes_.size()));
+        if (tree.nodes.empty()) {
+            nodes_.push_back({});  // an empty tree scores 0
+        } else {
+            Flatten(tree, 0, nodes_);
+        }
     }
 }
 
 float ScorerShard::PartialScore(const FeatureStore& store) const {
     // Pipeline-order accumulation: trees evaluate in array order so the
     // float sum is deterministic and identical to software.
+    const Node* const nodes = nodes_.data();
     float sum = 0.0f;
-    for (const auto& tree : trees_) sum += tree.Evaluate(store);
+    for (const std::uint32_t root : roots_) {
+        std::uint32_t i = root;
+        while (nodes[i].feature != TreeNode::kLeaf) {
+            i = store.Get(nodes[i].feature) <= nodes[i].value ? i + 1
+                                                              : nodes[i].right;
+        }
+        sum += nodes[i].value;
+    }
     return sum;
 }
 
 Time ScorerShard::ServiceTime() const {
     const std::int64_t tree_cycles =
         static_cast<std::int64_t>(
-            (trees_.size() + static_cast<std::size_t>(timing_.tree_units) - 1) /
+            (roots_.size() + static_cast<std::size_t>(timing_.tree_units) - 1) /
             static_cast<std::size_t>(timing_.tree_units)) *
         timing_.cycles_per_tree;
     return timing_.clock.Cycles(timing_.base_cycles + tree_cycles);
@@ -37,12 +61,6 @@ Time ScorerShard::ServiceTime() const {
 Bytes ScorerShard::ModelBytes() const {
     // 8 bytes per node (feature id, threshold/leaf, child offsets packed).
     return total_nodes() * 8;
-}
-
-std::int64_t ScorerShard::total_nodes() const {
-    std::int64_t nodes = 0;
-    for (const auto& tree : trees_) nodes += tree.NodeCount();
-    return nodes;
 }
 
 ScoringEnsemble::ScoringEnsemble(std::vector<DecisionTree> trees) {
@@ -56,7 +74,7 @@ ScoringEnsemble::ScoringEnsemble(std::vector<DecisionTree> trees) {
              ++k, ++index) {
             shard_trees.push_back(std::move(trees[index]));
         }
-        shards_[s] = ScorerShard(std::move(shard_trees));
+        shards_[s] = ScorerShard(shard_trees);
     }
 }
 
@@ -74,28 +92,20 @@ int ScoringEnsemble::total_trees() const {
 
 namespace {
 
-std::int32_t BuildSubtree(std::vector<TreeNode>& nodes, Rng& rng, int depth,
-                          int max_depth,
-                          const std::vector<std::uint32_t>& operands) {
-    const auto index = static_cast<std::int32_t>(nodes.size());
+/** Append one random tree to `nodes` in pre-order (left child next). */
+void BuildSubtree(std::vector<ScorerShard::Node>& nodes, Rng& rng, int depth,
+                  int max_depth, const std::vector<std::uint32_t>& operands) {
+    const std::size_t index = nodes.size();
     nodes.emplace_back();
     if (depth >= max_depth || rng.Chance(0.25)) {
-        nodes[static_cast<std::size_t>(index)].feature = TreeNode::kLeaf;
-        nodes[static_cast<std::size_t>(index)].leaf_value =
-            static_cast<float>(rng.Uniform(-0.5, 0.5));
-        return index;
+        nodes[index].value = static_cast<float>(rng.Uniform(-0.5, 0.5));
+        return;
     }
-    nodes[static_cast<std::size_t>(index)].feature =
-        operands[rng.NextBounded(operands.size())];
-    nodes[static_cast<std::size_t>(index)].threshold =
-        static_cast<float>(rng.Uniform(0.0, 16.0));
-    const std::int32_t left =
-        BuildSubtree(nodes, rng, depth + 1, max_depth, operands);
-    const std::int32_t right =
-        BuildSubtree(nodes, rng, depth + 1, max_depth, operands);
-    nodes[static_cast<std::size_t>(index)].left = left;
-    nodes[static_cast<std::size_t>(index)].right = right;
-    return index;
+    nodes[index].feature = operands[rng.NextBounded(operands.size())];
+    nodes[index].value = static_cast<float>(rng.Uniform(0.0, 16.0));
+    BuildSubtree(nodes, rng, depth + 1, max_depth, operands);
+    nodes[index].right = static_cast<std::uint32_t>(nodes.size());
+    BuildSubtree(nodes, rng, depth + 1, max_depth, operands);
 }
 
 }  // namespace
@@ -122,14 +132,23 @@ ScoringEnsemble GenerateEnsemble(std::uint64_t seed, int tree_count,
                                    rng.NextBounded(kSoftwareFeatureSlots)));
         }
     }
-    std::vector<DecisionTree> trees;
-    trees.reserve(static_cast<std::size_t>(tree_count));
+    // Contiguous shards, as ScoringEnsemble(trees) splits them.
+    const int per_shard =
+        (tree_count + ScoringEnsemble::kShardCount - 1) /
+        ScoringEnsemble::kShardCount;
+    std::array<std::vector<ScorerShard::Node>, ScoringEnsemble::kShardCount>
+        nodes;
+    std::array<std::vector<std::uint32_t>, ScoringEnsemble::kShardCount> roots;
     for (int t = 0; t < tree_count; ++t) {
-        DecisionTree tree;
-        BuildSubtree(tree.nodes, rng, 0, max_depth, operands);
-        trees.push_back(std::move(tree));
+        const std::size_t s = static_cast<std::size_t>(t / per_shard);
+        roots[s].push_back(static_cast<std::uint32_t>(nodes[s].size()));
+        BuildSubtree(nodes[s], rng, 0, max_depth, operands);
     }
-    return ScoringEnsemble(std::move(trees));
+    std::array<ScorerShard, ScoringEnsemble::kShardCount> shards;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+        shards[s] = ScorerShard(std::move(nodes[s]), std::move(roots[s]));
+    }
+    return ScoringEnsemble(std::move(shards));
 }
 
 }  // namespace catapult::rank

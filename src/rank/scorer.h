@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -19,7 +20,7 @@
 
 namespace catapult::rank {
 
-/** One node of a decision tree (leaf when feature == kLeaf). */
+/** One node of a decision tree as built (leaf when feature == kLeaf). */
 struct TreeNode {
     static constexpr std::uint32_t kLeaf = 0xFFFFFFFFu;
     std::uint32_t feature = kLeaf;
@@ -29,15 +30,22 @@ struct TreeNode {
     std::int32_t right = -1;
 };
 
-/** A single regression tree stored as a node array. */
+/**
+ * A single regression tree in build form: a node array with explicit
+ * child links, root at index 0. ScorerShard flattens it for scoring.
+ */
 struct DecisionTree {
     std::vector<TreeNode> nodes;
 
-    float Evaluate(const FeatureStore& store) const;
     int NodeCount() const { return static_cast<int>(nodes.size()); }
 };
 
-/** One scoring stage's shard of the ensemble. */
+/**
+ * One scoring stage's shard of the ensemble, stored as a single
+ * pre-order node array: a split node's left child is the next node and
+ * `right` indexes its right child, so a walk touches one contiguous
+ * array instead of one allocation per tree.
+ */
 class ScorerShard {
   public:
     struct Timing {
@@ -50,11 +58,21 @@ class ScorerShard {
         std::int64_t base_cycles = 120;
     };
 
-    ScorerShard() = default;
-    explicit ScorerShard(std::vector<DecisionTree> trees)
-        : trees_(std::move(trees)) {}
+    /** Flat node: a split on `feature`, or a leaf scoring `value`. */
+    struct Node {
+        std::uint32_t feature = TreeNode::kLeaf;
+        float value = 0.0f;       ///< Split threshold, or leaf value.
+        std::uint32_t right = 0;  ///< Right child index (split nodes).
+    };
 
-    /** Partial score: sum of this shard's tree outputs. */
+    ScorerShard() = default;
+    /** Flatten build-form trees, in order. */
+    explicit ScorerShard(const std::vector<DecisionTree>& trees);
+    /** Adopt a flat pre-order array; `roots` holds each tree's first node. */
+    ScorerShard(std::vector<Node> nodes, std::vector<std::uint32_t> roots)
+        : nodes_(std::move(nodes)), roots_(std::move(roots)) {}
+
+    /** Partial score: sum of this shard's tree outputs, in tree order. */
     float PartialScore(const FeatureStore& store) const;
 
     /** Stage service time for one document. */
@@ -63,14 +81,17 @@ class ScorerShard {
     /** Model memory footprint (drives Model Reload cost, §4.3). */
     Bytes ModelBytes() const;
 
-    int tree_count() const { return static_cast<int>(trees_.size()); }
-    std::int64_t total_nodes() const;
-    const std::vector<DecisionTree>& trees() const { return trees_; }
+    int tree_count() const { return static_cast<int>(roots_.size()); }
+    std::int64_t total_nodes() const {
+        return static_cast<std::int64_t>(nodes_.size());
+    }
+    const std::vector<Node>& nodes() const { return nodes_; }
     Timing& timing() { return timing_; }
     const Timing& timing() const { return timing_; }
 
   private:
-    std::vector<DecisionTree> trees_;
+    std::vector<Node> nodes_;
+    std::vector<std::uint32_t> roots_;  ///< First node of each tree.
     Timing timing_;
 };
 
@@ -85,6 +106,8 @@ class ScoringEnsemble {
 
     ScoringEnsemble() = default;
     explicit ScoringEnsemble(std::vector<DecisionTree> trees);
+    explicit ScoringEnsemble(std::array<ScorerShard, kShardCount> shards)
+        : shards_(std::move(shards)) {}
 
     /** Full score: evaluate all shards in pipeline order. */
     float Score(const FeatureStore& store) const;
@@ -94,7 +117,7 @@ class ScoringEnsemble {
     int total_trees() const;
 
   private:
-    ScorerShard shards_[kShardCount];
+    std::array<ScorerShard, kShardCount> shards_;
 };
 
 /**

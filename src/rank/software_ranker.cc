@@ -7,8 +7,8 @@ namespace catapult::rank {
 
 RankingFunction::RankingFunction(const Model* model) : model_(model) {
     assert(model_ != nullptr);
-    ffe0_.LoadPrograms(model_->ffe0_programs());
-    ffe1_.LoadPrograms(model_->ffe1_programs());
+    ffe0_.Load(model_->ffe0());
+    ffe1_.Load(model_->ffe1());
 }
 
 void RankingFunction::ExtractFeatures(const CompressedRequest& request,

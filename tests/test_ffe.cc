@@ -7,6 +7,7 @@
 
 #include "rank/ffe/compiler.h"
 #include "rank/ffe/expression.h"
+#include "rank/ffe/partition.h"
 #include "rank/ffe/processor.h"
 
 namespace catapult::rank::ffe {
@@ -18,6 +19,16 @@ FeatureStore MakeStore() {
         store.Set(i, static_cast<float>(i % 17) * 0.25f);
     }
     return store;
+}
+
+/** Run `programs` through the scheduled executor on a copy of `store`. */
+FeatureStore RunScheduled(std::vector<Program> programs,
+                          const FeatureStore& store) {
+    const Partition partition(std::move(programs));
+    FeatureStore out = store;
+    std::vector<float> registers = partition.register_image();
+    partition.Execute(out, registers);
+    return out;
 }
 
 TEST(Expression, LeafEvaluation) {
@@ -119,7 +130,8 @@ TEST(Compiler, InterpreterMatchesAstExactly) {
         const ExprPtr expr = generator.Generate();
         const Program program = compiler.Compile(*expr, kFfeOutputBase);
         const float direct = expr->Evaluate(store);
-        const float interpreted = FfeProcessor::Execute(program, store);
+        const float interpreted =
+            RunScheduled({program}, store).Get(program.output_slot);
         EXPECT_EQ(direct, interpreted) << "expression " << i;
     }
 }
@@ -236,8 +248,9 @@ TEST(FfeProcessor, ExecuteAllWritesOutputSlots) {
         programs.push_back(compiler.Compile(
             *generator.Generate(), kFfeOutputBase + static_cast<std::uint32_t>(i)));
     }
+    const Partition partition(std::move(programs));
     FfeProcessor processor;
-    processor.LoadPrograms(programs);
+    processor.Load(partition);
     FeatureStore store = MakeStore();
     processor.ExecuteAll(store);
     int non_zero = 0;
@@ -259,8 +272,9 @@ TEST(FfeProcessor, TimingBoundsAreConsistent) {
                                             kFfeOutputBase));
         total_instructions += programs.back().InstructionCount();
     }
+    const Partition partition(std::move(programs));
     FfeProcessor processor;
-    processor.LoadPrograms(programs);
+    processor.Load(partition);
     const auto breakdown = processor.Breakdown();
     // Issue bound >= perfectly balanced instructions per core.
     EXPECT_GE(breakdown.max_core_issue_cycles, total_instructions / 60);
@@ -282,12 +296,13 @@ TEST(FfeProcessor, MoreCoresProcessFaster) {
         programs.push_back(compiler.Compile(*generator.Generate(),
                                             kFfeOutputBase));
     }
+    const Partition partition(std::move(programs));
     FfeProcessor::Config small_config;
     small_config.core_count = 15;
     FfeProcessor small(small_config);
-    small.LoadPrograms(programs);
+    small.Load(partition);
     FfeProcessor big;  // 60 cores
-    big.LoadPrograms(programs);
+    big.Load(partition);
     EXPECT_LT(big.DocumentCycles(), small.DocumentCycles());
 }
 
@@ -307,10 +322,63 @@ TEST(FfeProcessor, StageWithinMacropipelineBudget) {
         }
         programs.push_back(compiler.Compile(*expr, kFfeOutputBase));
     }
+    const Partition partition(std::move(programs));
     FfeProcessor processor;
-    processor.LoadPrograms(programs);
+    processor.Load(partition);
     EXPECT_LT(processor.DocumentServiceTime(), Microseconds(12));
     EXPECT_GT(processor.DocumentServiceTime(), Microseconds(1));
+}
+
+TEST(Partition, SlotDependenciesFollowProgramOrder) {
+    // FFE0 metafeature producers may read what earlier producers wrote
+    // (store -> load), and a slot may be read before it is rewritten
+    // (load -> store). The schedule must keep program-order semantics.
+    constexpr std::uint32_t kMeta = kMetaFeatureBase;
+    FfeCompiler compiler;
+    std::vector<Program> programs;
+    programs.push_back(compiler.Compile(
+        *MakeBinary(OpCode::kAdd, MakeFeature(3), MakeConst(1.0f)), kMeta));
+    programs.push_back(compiler.Compile(
+        *MakeBinary(OpCode::kMul, MakeFeature(kMeta), MakeConst(2.0f)),
+        kFfeOutputBase));
+    // Rewrites kMeta at the level of the load above.
+    programs.push_back(compiler.Compile(
+        *MakeBinary(OpCode::kSub, MakeConst(1.0f), MakeConst(0.5f)), kMeta));
+    programs.push_back(compiler.Compile(
+        *MakeBinary(OpCode::kAdd, MakeFeature(kMeta), MakeConst(10.0f)),
+        kFfeOutputBase + 1));
+
+    const FeatureStore store = MakeStore();
+    const float first = store.Get(3) + 1.0f;
+    const FeatureStore out = RunScheduled(std::move(programs), store);
+    EXPECT_EQ(out.Get(kFfeOutputBase), first * 2.0f);
+    EXPECT_EQ(out.Get(kMeta), 0.5f);
+    EXPECT_EQ(out.Get(kFfeOutputBase + 1), 10.5f);
+}
+
+TEST(Partition, GroupsOpsByLevelAndOpcode) {
+    // 64 independent adds of two features: one load batch, one add
+    // batch, one store batch. Constants are preloaded, not scheduled.
+    FfeCompiler compiler;
+    std::vector<Program> programs;
+    for (std::uint32_t i = 0; i < 64; ++i) {
+        programs.push_back(compiler.Compile(
+            *MakeBinary(OpCode::kAdd, MakeFeature(i), MakeFeature(i + 1)),
+            kFfeOutputBase + i));
+        programs.push_back(compiler.Compile(
+            *MakeBinary(OpCode::kSub, MakeConst(1.0f), MakeConst(0.5f)),
+            kFfeOutputBase + 64 + i));
+    }
+    const Partition partition(programs);
+    // Level 0: loads, subs; level 1: adds, sub stores; level 2: stores.
+    EXPECT_EQ(partition.batch_count(), 5u);
+    EXPECT_EQ(partition.TotalInstructions(), 64 * 6);
+    const FeatureStore store = MakeStore();
+    const FeatureStore out = RunScheduled(std::move(programs), store);
+    for (std::uint32_t i = 0; i < 64; ++i) {
+        EXPECT_EQ(out.Get(kFfeOutputBase + i), store.Get(i) + store.Get(i + 1));
+        EXPECT_EQ(out.Get(kFfeOutputBase + 64 + i), 0.5f);
+    }
 }
 
 TEST(OpLatencies, ComplexOpsAreLong) {

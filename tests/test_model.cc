@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/rng.h"
+#include "rank/ffe/processor.h"
 #include "rank/model.h"
 
 namespace catapult::rank {
@@ -19,7 +23,7 @@ TEST(Model, GenerateIsDeterministic) {
     const auto b = Model::Generate(1, 42, SmallModelConfig());
     EXPECT_EQ(a->total_ffe_ops(), b->total_ffe_ops());
     EXPECT_EQ(a->total_tree_nodes(), b->total_tree_nodes());
-    EXPECT_EQ(a->ffe0_programs().size(), b->ffe0_programs().size());
+    EXPECT_EQ(a->ffe0().programs().size(), b->ffe0().programs().size());
 }
 
 TEST(Model, DifferentModelIdsDiffer) {
@@ -30,12 +34,12 @@ TEST(Model, DifferentModelIdsDiffer) {
 
 TEST(Model, ExpressionsPartitionedAcrossFfeChips) {
     const auto model = Model::Generate(1, 42, SmallModelConfig());
-    EXPECT_FALSE(model->ffe0_programs().empty());
-    EXPECT_FALSE(model->ffe1_programs().empty());
+    EXPECT_FALSE(model->ffe0().programs().empty());
+    EXPECT_FALSE(model->ffe1().programs().empty());
     // Rough balance: neither chip holds everything.
     std::int64_t i0 = 0, i1 = 0;
-    for (const auto& p : model->ffe0_programs()) i0 += p.InstructionCount();
-    for (const auto& p : model->ffe1_programs()) i1 += p.InstructionCount();
+    for (const auto& p : model->ffe0().programs()) i0 += p.InstructionCount();
+    for (const auto& p : model->ffe1().programs()) i1 += p.InstructionCount();
     EXPECT_GT(i0, 0);
     EXPECT_GT(i1, 0);
     const double balance = static_cast<double>(i0) / static_cast<double>(i0 + i1);
@@ -50,7 +54,7 @@ TEST(Model, MetafeatureConsumersRunDownstream) {
     config.expressions.small_probability = 0.5;  // force big expressions
     const auto model = Model::Generate(3, 99, config);
     EXPECT_GT(model->metafeature_count(), 0);
-    for (const auto& program : model->ffe0_programs()) {
+    for (const auto& program : model->ffe0().programs()) {
         bool writes_meta =
             program.output_slot >= kMetaFeatureBase &&
             program.output_slot < kMetaFeatureBase + kMetaFeatureSlots;
@@ -66,6 +70,91 @@ TEST(Model, MetafeatureConsumersRunDownstream) {
             }
         }
     }
+}
+
+bool ReadsMetafeature(const ffe::Expr& expr) {
+    if (expr.op == ffe::OpCode::kLoadFeature) {
+        return expr.feature >= kMetaFeatureBase &&
+               expr.feature < kMetaFeatureBase + kMetaFeatureSlots;
+    }
+    for (const auto& child : expr.children) {
+        if (ReadsMetafeature(*child)) return true;
+    }
+    return false;
+}
+
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(Model, ScheduledFfeMatchesStagedAst) {
+    // Every program of a generated model, run through the shared level
+    // schedule, must write exactly what staged AST evaluation writes:
+    // replay the metafeature split, evaluate the upstream parts in
+    // order (a part may read an earlier part's metafeature), then the
+    // remainders into the FFE output slots.
+    Model::Config config = SmallModelConfig();
+    config.expressions.small_probability = 0.5;  // force big expressions
+    const auto model = Model::Generate(3, 99, config);
+
+    FeatureStore input;
+    Rng rng(7);
+    for (std::uint32_t i = 0; i < kMetaFeatureBase; ++i) {
+        input.Set(i, static_cast<float>(rng.Uniform(-2.0, 10.0)));
+    }
+
+    FeatureStore staged = input;
+    const ffe::FfeCompiler compiler(config.compiler);
+    std::uint32_t next_meta = 0;
+    int chained_parts = 0;
+    std::vector<ffe::ExprPtr> remainders;
+    for (const auto& expr : model->expressions()) {
+        ffe::ExprPtr work = expr->Clone();
+        for (auto& part : compiler.SplitForMetafeatures(*work, next_meta)) {
+            if (ReadsMetafeature(*part.expr)) ++chained_parts;
+            staged.Set(part.slot, part.expr->Evaluate(staged));
+        }
+        remainders.push_back(std::move(work));
+    }
+    for (std::size_t i = 0; i < remainders.size(); ++i) {
+        staged.Set(kFfeOutputBase + static_cast<std::uint32_t>(i),
+                   remainders[i]->Evaluate(staged));
+    }
+    EXPECT_GT(chained_parts, 0) << "no FFE0 producer -> producer chain";
+
+    FeatureStore scheduled = input;
+    ffe::FfeProcessor ffe0;
+    ffe0.Load(model->ffe0());
+    ffe0.ExecuteAll(scheduled);
+    for (const auto& program : model->ffe0().programs()) {
+        EXPECT_TRUE(SameBits(scheduled.Get(program.output_slot),
+                             staged.Get(program.output_slot)))
+            << "FFE0 slot " << program.output_slot;
+    }
+    ffe::FfeProcessor ffe1;
+    ffe1.Load(model->ffe1());
+    ffe1.ExecuteAll(scheduled);
+    for (const auto& program : model->ffe1().programs()) {
+        EXPECT_TRUE(SameBits(scheduled.Get(program.output_slot),
+                             staged.Get(program.output_slot)))
+            << "FFE1 slot " << program.output_slot;
+    }
+}
+
+TEST(Model, ProductionSplitAndTimingArePinned) {
+    // The metafeature split decides the FFE partitions, which drive the
+    // simulated FFE stage times and reload sizes. Recorded for a
+    // production-sized model before the split's size bookkeeping and
+    // the shared partitions were introduced.
+    const auto model = Model::Generate(0, 42);
+    EXPECT_EQ(model->metafeature_count(), 671);
+    EXPECT_EQ(model->ReloadBytes(PipelineStage::kFfe0), 346'448);
+    EXPECT_EQ(model->ReloadBytes(PipelineStage::kFfe1), 346'400);
+    EXPECT_EQ(model->total_tree_nodes(), 192'756);
+    ffe::FfeProcessor ffe0;
+    ffe0.Load(model->ffe0());
+    ffe::FfeProcessor ffe1;
+    ffe1.Load(model->ffe1());
+    EXPECT_EQ(ffe0.DocumentCycles(), 966);
+    EXPECT_EQ(ffe1.DocumentCycles(), 1'014);
 }
 
 TEST(Model, ReloadBytesPerStage) {

@@ -172,8 +172,11 @@ TEST_P(FfeIdentityProperty, CompiledMatchesAst) {
         const auto expr = generator.Generate();
         const auto program =
             compiler.Compile(*expr, rank::kFfeOutputBase);
-        EXPECT_EQ(expr->Evaluate(store),
-                  rank::ffe::FfeProcessor::Execute(program, store));
+        const rank::ffe::Partition partition({program});
+        rank::FeatureStore out = store;
+        std::vector<float> registers = partition.register_image();
+        partition.Execute(out, registers);
+        EXPECT_EQ(expr->Evaluate(store), out.Get(program.output_slot));
     }
 }
 
@@ -316,8 +319,9 @@ TEST_P(FfeScalingProperty, DocumentCyclesBoundedByWork) {
     }
     rank::ffe::FfeProcessor::Config config;
     config.core_count = cores;
+    const rank::ffe::Partition partition(std::move(programs));
     rank::ffe::FfeProcessor processor(config);
-    processor.LoadPrograms(programs);
+    processor.Load(partition);
     // Lower bound: perfect balance; upper bound: serial execution.
     EXPECT_GE(processor.DocumentCycles(),
               total_instructions / cores);

@@ -22,7 +22,7 @@ TEST(DecisionTree, LeafOnlyTree) {
     leaf.leaf_value = 0.25f;
     tree.nodes.push_back(leaf);
     FeatureStore store;
-    EXPECT_EQ(tree.Evaluate(store), 0.25f);
+    EXPECT_EQ(ScorerShard({tree}).PartialScore(store), 0.25f);
 }
 
 TEST(DecisionTree, BranchesOnThreshold) {
@@ -42,13 +42,14 @@ TEST(DecisionTree, BranchesOnThreshold) {
     right.leaf_value = 1.0f;
     tree.nodes.push_back(right);
 
+    const ScorerShard shard({tree});
     FeatureStore store;
     store.Set(10, 3.0f);
-    EXPECT_EQ(tree.Evaluate(store), -1.0f);
+    EXPECT_EQ(shard.PartialScore(store), -1.0f);
     store.Set(10, 7.0f);
-    EXPECT_EQ(tree.Evaluate(store), 1.0f);
+    EXPECT_EQ(shard.PartialScore(store), 1.0f);
     store.Set(10, 5.0f);  // boundary goes left
-    EXPECT_EQ(tree.Evaluate(store), -1.0f);
+    EXPECT_EQ(shard.PartialScore(store), -1.0f);
 }
 
 TEST(ScoringEnsemble, ShardsPreserveTotalScore) {

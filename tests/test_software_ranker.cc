@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <thread>
+#include <vector>
+
 #include "common/stats.h"
 #include "rank/document_generator.h"
 #include "rank/model.h"
@@ -72,6 +76,65 @@ TEST(RankingFunction, StagewiseMatchesOneShot) {
         model->ensemble().shard(2).PartialScore(compressed);
 
     EXPECT_EQ(staged, function.Score(request));
+}
+
+TEST(RankingFunction, GoldenScoresArePinned) {
+    // FNV-1a over the float bits of Score and ReferenceScore for 64
+    // documents x 4 production-sized models, recorded with the
+    // per-instruction FFE interpreter and per-tree scorer that the level
+    // schedule and the flat tree walker replaced. Any change to a
+    // score's bits, on either path, changes the hash.
+    ModelStore store;
+    DocumentGenerator generator(2024);
+    std::vector<CompressedRequest> docs;
+    for (int i = 0; i < 64; ++i) docs.push_back(generator.Next());
+    std::uint64_t hash = 1469598103934665603ull;
+    const auto mix = [&hash](float value) {
+        std::uint32_t bits;
+        std::memcpy(&bits, &value, sizeof bits);
+        hash ^= bits;
+        hash *= 1099511628211ull;
+    };
+    for (std::uint32_t model_id = 0; model_id < 4; ++model_id) {
+        RankingFunction function(&store.GetOrGenerate(model_id, 42));
+        for (const CompressedRequest& doc : docs) {
+            mix(function.Score(doc));
+            mix(function.ReferenceScore(doc));
+        }
+    }
+    EXPECT_EQ(hash, 0x3cb0b5512d52e8c1ull);
+}
+
+TEST(SharedModel, ConcurrentRankingFunctionsScoreIdentically) {
+    // Rings on different threads score through their own
+    // RankingFunctions over one cached Model: the compiled partitions
+    // and flat trees are shared read-only, register scratch is per
+    // function. Both threads must match a serial run bit for bit.
+    ModelStore::Config config;
+    config.model = SmallModelConfig();
+    ModelStore store_a(config);
+    ModelStore store_b(config);
+    const Model& model = store_a.GetOrGenerate(2, 77);
+    ASSERT_EQ(&model, &store_b.GetOrGenerate(2, 77));
+
+    DocumentGenerator generator(123);
+    std::vector<CompressedRequest> docs;
+    for (int i = 0; i < 24; ++i) docs.push_back(generator.Next());
+    std::vector<float> expected;
+    RankingFunction serial(&model);
+    for (const auto& doc : docs) expected.push_back(serial.Score(doc));
+
+    const auto score_all = [&](std::vector<float>& out) {
+        RankingFunction function(&model);
+        for (const auto& doc : docs) out.push_back(function.Score(doc));
+    };
+    std::vector<float> first, second;
+    std::thread a(score_all, std::ref(first));
+    std::thread b(score_all, std::ref(second));
+    a.join();
+    b.join();
+    EXPECT_EQ(first, expected);
+    EXPECT_EQ(second, expected);
 }
 
 TEST(CpuPool, ParallelismUpToCoreCount) {
