@@ -61,6 +61,23 @@ void BM_FeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction)->Arg(1'024)->Arg(6'500)->Arg(65'000);
 
+// The hit-vector tuple stream alone, which every FE pass reads; time
+// per iteration is ns per document.
+void BM_HitVectorReader(benchmark::State& state) {
+    rank::DocumentGenerator generator(42);
+    const auto request = generator.WithTargetSize(
+        static_cast<Bytes>(state.range(0)));
+    for (auto _ : state) {
+        rank::HitVectorReader reader(request);
+        rank::HitTuple tuple;
+        std::uint32_t position = 0;
+        while (reader.Next(tuple)) position += tuple.delta;
+        benchmark::DoNotOptimize(position);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HitVectorReader)->Arg(1'024)->Arg(6'500)->Arg(65'000);
+
 /** Production-sized model (Model::Config defaults), generated once. */
 const rank::Model& ProductionModel() {
     static const auto model = rank::Model::Generate(0, 42);

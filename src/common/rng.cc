@@ -106,11 +106,24 @@ double Rng::LogNormal(double mu, double sigma) {
 std::uint64_t Rng::Geometric(double p) {
     assert(p > 0.0 && p <= 1.0);
     if (p >= 1.0) return 0;
+    return GeometricFromLogQ(GeometricLogQ(p));
+}
+
+std::uint64_t Rng::GeometricFromLogQ(double log_q) {
+    assert(log_q < 0.0);
     double u;
     do {
         u = NextDouble();
     } while (u <= 0.0);
-    return static_cast<std::uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
+    return static_cast<std::uint64_t>(std::floor(std::log(u) / log_q));
+}
+
+double Rng::GeometricLogQ(double p) {
+    // Through a volatile, so no build folds log1p of a constant p at
+    // compile time: a folded value is rounded by the compiler's own
+    // arithmetic and may differ from libm in the last bit.
+    const volatile double q = -p;
+    return std::log1p(q);
 }
 
 std::uint64_t Rng::Poisson(double lambda) {

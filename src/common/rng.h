@@ -50,6 +50,15 @@ class Rng {
     /** Geometric number of failures before first success, p in (0,1]. */
     std::uint64_t Geometric(double p);
 
+    /**
+     * The same draw for p in (0,1), given `log_q` = GeometricLogQ(p).
+     * Callers with a fixed p compute the denominator once.
+     */
+    std::uint64_t GeometricFromLogQ(double log_q);
+
+    /** log1p(-p), the denominator of a geometric draw, from libm. */
+    static double GeometricLogQ(double p);
+
     /** Poisson variate (inversion for small lambda, PTRS otherwise). */
     std::uint64_t Poisson(double lambda);
 

@@ -75,15 +75,24 @@ HitVectorReader::HitVectorReader(const CompressedRequest& request)
 bool HitVectorReader::Next(HitTuple& tuple) {
     if (produced_ >= request_.tuple_count) return false;
     // Deltas are mostly small gaps between query-term hits; occasional
-    // long jumps cross section boundaries.
+    // long jumps cross section boundaries. Each gap is a geometric draw
+    // whose log1p(-p) denominator is computed once.
+    struct GapLogQ {
+        double hit = Rng::GeometricLogQ(0.10);
+        double section = Rng::GeometricLogQ(0.002);
+        double jump = Rng::GeometricLogQ(0.00005);
+    };
+    static const GapLogQ kGaps;
     const double shape = rng_.NextDouble();
     if (shape < 0.85) {
-        tuple.delta = 1 + static_cast<std::uint32_t>(rng_.Geometric(0.10));
-    } else if (shape < 0.985) {
-        tuple.delta = 256 + static_cast<std::uint32_t>(rng_.Geometric(0.002));
-    } else {
         tuple.delta =
-            65536 + static_cast<std::uint32_t>(rng_.Geometric(0.00005));
+            1 + static_cast<std::uint32_t>(rng_.GeometricFromLogQ(kGaps.hit));
+    } else if (shape < 0.985) {
+        tuple.delta = 256 + static_cast<std::uint32_t>(
+                                rng_.GeometricFromLogQ(kGaps.section));
+    } else {
+        tuple.delta = 65536 + static_cast<std::uint32_t>(
+                                  rng_.GeometricFromLogQ(kGaps.jump));
     }
     const int terms =
         request_.query.term_count > 0 ? request_.query.term_count : 1;

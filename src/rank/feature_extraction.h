@@ -8,18 +8,29 @@
 // (MISD), fed by a Stream Processing FSM and drained by a Feature
 // Gathering Network; inputs are double-buffered.
 //
-// Functionally, each FSM here is a real streaming state machine over
-// the hit-vector tuples; the same code runs in the simulated FPGA role
-// and in the software baseline, which is what makes the two paths'
-// scores identical (§4). Timing-wise, the stage cost is the stream
-// issue rate (the FSMs themselves keep up at 1-2 cycles per token
-// because they run in parallel).
+// The host model fuses the 43 FSMs into one pass. Most of them differ
+// only in which tuples they count (their filter) and which value of a
+// (count, first, last, gap, property) cell they report, and many share
+// a filter. So the pass tests each tuple's predicates once and updates
+// a few shared per-(stream, term) accumulator classes: all tuples,
+// props != 0, delta < 4 and props >= 256, plus bigram counters and
+// proximity / early-section bucket counters. At end of stream each
+// FSM's descriptor names the accumulator field or derivation it emits
+// (its EmitSource). Every accumulator is an exact integer, and each
+// feature is converted to float by the same expression over the same
+// integer as a separate FSM would use, so the features are bit-identical
+// to 43 separate machines. The same code runs in the simulated FPGA
+// role and in the software baseline, which is what makes the two
+// paths' scores identical (§4). Timing-wise, the stage cost is the
+// stream issue rate (the FSMs themselves keep up at 1-2 cycles per
+// token because they run in parallel).
 
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,29 +40,46 @@
 
 namespace catapult::rank {
 
-/** Identifies one of the 43 FSM computation kinds. */
-enum class FsmKind : std::uint8_t {
-    kCountOccurrences,   ///< Hits per (stream, term).
-    kFirstOccurrence,    ///< Position of first hit per (stream, term).
-    kLastOccurrence,     ///< Position of last hit per (stream, term).
-    kCoverageSpan,       ///< last - first per (stream, term).
-    kMeanGap,            ///< Mean delta between hits per (stream, term).
-    kMaxGap,             ///< Largest delta per (stream, term).
-    kPropertySum,        ///< Sum of tuple properties per (stream, term).
-    kPropertyMax,        ///< Max property per (stream, term).
-    kBigramAdjacency,    ///< term t directly followed by t+1 (stream, term).
-    kProximityWindow,    ///< Hits within a window of the previous hit.
-    kEarlySection,       ///< Hits before a position threshold.
-    kDensity,            ///< Hits / document length per stream.
-    kStreamSpan,         ///< Total advance per stream.
-    kTermShare,          ///< Term's share of all hits (per term).
+/** The per-(stream, term) accumulator class an FSM reads: its filter. */
+enum class TupleClass : std::uint8_t {
+    kAll,    ///< Every tuple.
+    kProps,  ///< properties != 0.
+    kTight,  ///< delta < 4.
+    kHigh,   ///< properties >= 256.
 };
 
-/** Static descriptor for one FSM instance. */
+/** What an FSM emits per cell, read from the fused accumulators. */
+enum class EmitSource : std::uint8_t {
+    // Fields of the descriptor's TupleClass.
+    kCount,        ///< Tuples in the class.
+    kFirst,        ///< Position of the class's first tuple.
+    kLast,         ///< Position of its last tuple.
+    kSpan,         ///< last - first.
+    kMeanGap,      ///< Sum of deltas / count.
+    kMaxGap,       ///< Largest delta.
+    kPropertySum,  ///< Sum of properties.
+    kPropertyMax,  ///< Largest property.
+    // Derived at Emit, with no per-tuple work.
+    kWideCount,          ///< All minus tight: delta >= 4.
+    kLowPropertySum,     ///< Props minus high: 0 < properties < 256.
+    kStrongPropertyMax,  ///< All-tuples max if >= 16, else 0.
+    // Separate counters, keyed by the descriptor's param.
+    kBigram,     ///< Bigram relation `param` with the previous tuple.
+    kProximity,  ///< Same-stream hits with delta <= window `param`.
+    kEarly,      ///< Hits at position <= threshold `param`.
+    // Per-stream and per-term aggregates of the all-tuples class.
+    kStreamDensity,  ///< Hits / document length per stream.
+    kStreamSpan,     ///< Total advance per stream.
+    kTermShare,      ///< Term's share of all hits.
+};
+
+/** Static descriptor for one of the 43 FSMs. */
 struct FsmDescriptor {
-    FsmKind kind;
     std::string name;
-    /** Variant parameter (window size, position threshold, etc.). */
+    EmitSource source = EmitSource::kCount;
+    /** Class the source's fields come from (kAll for the others). */
+    TupleClass tuples = TupleClass::kAll;
+    /** Bigram relation, proximity window or early threshold. */
     std::uint32_t param = 0;
     /** First feature id owned by this FSM. */
     std::uint32_t feature_base = 0;
@@ -60,42 +88,9 @@ struct FsmDescriptor {
 };
 
 /**
- * One streaming feature state machine. Consume() is called once per
- * tuple in stream order; Emit() writes the non-zero results.
- */
-class FeatureFsm {
-  public:
-    explicit FeatureFsm(const FsmDescriptor& descriptor);
-
-    void Reset();
-    void Consume(const HitTuple& tuple, std::uint32_t position);
-    void Emit(const CompressedRequest& request, FeatureStore& store) const;
-
-    const FsmDescriptor& descriptor() const { return descriptor_; }
-
-  private:
-    struct Cell {
-        std::uint32_t count = 0;
-        std::uint32_t first = 0;
-        std::uint32_t last = 0;
-        std::uint32_t max_gap = 0;
-        std::uint64_t sum = 0;
-        std::uint32_t max = 0;
-    };
-
-    Cell& CellFor(int stream, int term);
-
-    FsmDescriptor descriptor_;
-    std::array<Cell, kMetastreamCount * kMaxQueryTerms> cells_;
-    std::array<std::uint32_t, kMetastreamCount> stream_totals_{};
-    std::uint32_t total_hits_ = 0;
-    std::uint8_t previous_term_ = 0xFF;
-    std::uint8_t previous_stream_ = 0xFF;
-    std::uint32_t previous_position_ = 0;
-};
-
-/**
- * The complete FE stage: stream processor + 43 FSMs + gathering network.
+ * The complete FE stage: stream processor, the 43 FSMs as one fused
+ * pass, and the gathering network. Holds one document's accumulators,
+ * so each RankingFunction owns its own extractor.
  */
 class FeatureExtractor {
   public:
@@ -111,17 +106,22 @@ class FeatureExtractor {
         double cycles_per_tuple = 0.5;
     };
 
-    FeatureExtractor();
-
     /** The 43 FSM descriptors (§4.4). */
     static const std::vector<FsmDescriptor>& Descriptors();
 
     /**
      * Run the full extraction for a request: streams every tuple
-     * through all 43 FSMs and writes non-zero features + remapped
+     * through the fused FSMs and writes non-zero features + remapped
      * software features into `store`.
      */
     void Extract(const CompressedRequest& request, FeatureStore& store);
+
+    /**
+     * The same pass over an explicit tuple stream, for a document of
+     * `document_length` tokens. Writes dynamic features only.
+     */
+    void ExtractTuples(std::span<const HitTuple> tuples,
+                       std::uint32_t document_length, FeatureStore& store);
 
     /** Stage service time for a request (§4.2 macropipeline budget). */
     Time ServiceTime(const CompressedRequest& request) const;
@@ -131,8 +131,56 @@ class FeatureExtractor {
     Timing& timing() { return timing_; }
 
   private:
+    static constexpr std::size_t kCells = kMetastreamCount * kMaxQueryTerms;
+    /** Proximity windows and early thresholds, ascending (§4.4 params). */
+    static constexpr std::array<std::uint32_t, 9> kProximityWindows = {
+        8, 16, 32, 64, 128, 256, 512, 1024, 4096};
+    static constexpr std::array<std::uint32_t, 6> kEarlyThresholds = {
+        128, 512, 2048, 8192, 32768, 131072};
+    static_assert(std::is_sorted(kProximityWindows.begin(),
+                                 kProximityWindows.end()));
+    static_assert(std::is_sorted(kEarlyThresholds.begin(),
+                                 kEarlyThresholds.end()));
+
+    /** One accumulator class as SoA over the 40 (stream, term) cells. */
+    struct CellClass {
+        std::array<std::uint32_t, kCells> count;
+        std::array<std::uint32_t, kCells> first;
+        std::array<std::uint32_t, kCells> last;
+        std::array<std::uint32_t, kCells> max_gap;
+        std::array<std::uint32_t, kCells> max_props;
+        std::array<std::uint64_t, kCells> sum_delta;
+        std::array<std::uint64_t, kCells> sum_props;
+    };
+
+    /**
+     * One document's state. A tuple lands in the proximity bucket of
+     * the smallest window >= its delta and the early bucket of the
+     * smallest threshold >= its position; the last bucket of each is
+     * "beyond every bound". Emit takes prefix sums.
+     */
+    struct Accumulators {
+        std::array<CellClass, 4> classes;  ///< Indexed by TupleClass.
+        std::array<std::array<std::uint32_t, kCells>, 4> bigrams;
+        std::array<std::array<std::uint32_t, kProximityWindows.size() + 1>,
+                   kCells> proximity;
+        std::array<std::array<std::uint32_t, kEarlyThresholds.size() + 1>,
+                   kCells> early;
+        std::uint8_t previous_term = 0xFF;
+        std::uint8_t previous_stream = 0xFF;
+    };
+
+    CellClass& ClassOf(TupleClass tuples) {
+        return acc_.classes[static_cast<std::size_t>(tuples)];
+    }
+    const CellClass& ClassOf(TupleClass tuples) const {
+        return acc_.classes[static_cast<std::size_t>(tuples)];
+    }
+    void Consume(const HitTuple& tuple, std::uint32_t position);
+    void Emit(std::uint32_t document_length, FeatureStore& store) const;
+
     Timing timing_;
-    std::vector<std::unique_ptr<FeatureFsm>> fsms_;
+    Accumulators acc_{};
 };
 
 }  // namespace catapult::rank

@@ -43,6 +43,33 @@ TEST(HitVectorReader, DeterministicReplay) {
     EXPECT_EQ(count, static_cast<int>(request.tuple_count));
 }
 
+TEST(HitVectorReader, TuplesArePinned) {
+    // FNV-1a over every tuple of 64 documents (32 from each of two
+    // generator seeds), recorded while each geometric draw still
+    // recomputed log1p(-p). Any change to a delta, term, stream or
+    // property bit changes the hash.
+    std::uint64_t hash = 1469598103934665603ull;
+    std::uint64_t tuples = 0;
+    for (const std::uint64_t seed : {7ull, 4242ull}) {
+        DocumentGenerator generator(seed);
+        for (int i = 0; i < 32; ++i) {
+            const CompressedRequest request = generator.Next();
+            HitVectorReader reader(request);
+            HitTuple tuple;
+            while (reader.Next(tuple)) {
+                hash ^= static_cast<std::uint64_t>(tuple.delta) << 32 |
+                        static_cast<std::uint64_t>(tuple.term) << 24 |
+                        static_cast<std::uint64_t>(tuple.stream) << 16 |
+                        tuple.properties;
+                hash *= 1099511628211ull;
+                ++tuples;
+            }
+        }
+    }
+    EXPECT_GT(tuples, 64'000u);
+    EXPECT_EQ(hash, 0x4df365069924ca85ull);
+}
+
 TEST(RequestCodec, RoundTripPreservesEverything) {
     DocumentGenerator generator(7);
     for (int i = 0; i < 20; ++i) {

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "rank/document_generator.h"
 #include "rank/feature_extraction.h"
 #include "rank/feature_space.h"
+#include "reference_feature_fsm.h"
 
 namespace catapult::rank {
 namespace {
@@ -85,30 +91,196 @@ TEST(FeatureExtraction, SoftwareFeaturesRemapped) {
 }
 
 TEST(FeatureExtraction, CountOccurrencesCountsHits) {
-    // Synthetic request with known tuples requires a direct FSM test.
+    // Synthetic request with known tuples, through the tuple-level entry.
     const auto& descriptors = FeatureExtractor::Descriptors();
     const FsmDescriptor& count_fsm = descriptors[0];
-    ASSERT_EQ(count_fsm.kind, FsmKind::kCountOccurrences);
+    ASSERT_EQ(count_fsm.name, "NumberOfOccurrences");
+    ASSERT_EQ(count_fsm.source, EmitSource::kCount);
+    ASSERT_EQ(count_fsm.tuples, TupleClass::kAll);
 
-    FeatureFsm fsm(count_fsm);
-    CompressedRequest request;
-    request.document_length = 100;
     // Three hits for (stream 0, term 0), one for (stream 1, term 2).
-    HitTuple t1{.delta = 5, .term = 0, .stream = 0, .properties = 0};
-    HitTuple t2{.delta = 3, .term = 0, .stream = 0, .properties = 0};
-    HitTuple t3{.delta = 9, .term = 0, .stream = 0, .properties = 0};
-    HitTuple t4{.delta = 2, .term = 2, .stream = 1, .properties = 0};
-    std::uint32_t position = 0;
-    for (const auto& t : {t1, t2, t3, t4}) {
-        position += t.delta;
-        fsm.Consume(t, position);
-    }
+    const std::vector<HitTuple> tuples = {
+        {.delta = 5, .term = 0, .stream = 0, .properties = 0},
+        {.delta = 3, .term = 0, .stream = 0, .properties = 0},
+        {.delta = 9, .term = 0, .stream = 0, .properties = 0},
+        {.delta = 2, .term = 2, .stream = 1, .properties = 0},
+    };
+    FeatureExtractor extractor;
     FeatureStore store;
-    fsm.Emit(request, store);
+    extractor.ExtractTuples(tuples, 100, store);
     // Cell (stream 0, term 0) has 3 values per cell; primary first.
     EXPECT_EQ(store.Get(count_fsm.feature_base + 0), 3.0f);
     // Cell (stream 1, term 2): cell index = 1*10 + 2 = 12, vpc = 3.
     EXPECT_EQ(store.Get(count_fsm.feature_base + 12 * 3), 1.0f);
+}
+
+/** True when the two stores hold the same float bits in every slot. */
+bool SameBits(const FeatureStore& a, const FeatureStore& b) {
+    return std::memcmp(a.raw().data(), b.raw().data(),
+                       a.raw().size() * sizeof(float)) == 0;
+}
+
+/** Ids where the two stores differ, for failure messages. */
+std::string Differences(const FeatureStore& a, const FeatureStore& b) {
+    std::string out;
+    int shown = 0;
+    for (std::uint32_t id = 0; id < a.raw().size() && shown < 8; ++id) {
+        if (std::memcmp(&a.raw()[id], &b.raw()[id], sizeof(float)) != 0) {
+            out += " id " + std::to_string(id) + ": " +
+                   std::to_string(a.Get(id)) + " vs " +
+                   std::to_string(b.Get(id)) + ";";
+            ++shown;
+        }
+    }
+    return out;
+}
+
+TEST(FeatureExtraction, DescriptorsMatchReferenceFsms) {
+    // The fused descriptors own the same feature ids as the 43 separate
+    // FSMs, and the windowed ones keep their window or threshold.
+    const auto& fused = FeatureExtractor::Descriptors();
+    const auto& specs = reference::Specs();
+    ASSERT_EQ(fused.size(), specs.size());
+    for (std::size_t i = 0; i < fused.size(); ++i) {
+        SCOPED_TRACE(specs[i].name);
+        EXPECT_EQ(fused[i].name, specs[i].name);
+        EXPECT_EQ(fused[i].feature_base, specs[i].feature_base);
+        EXPECT_EQ(fused[i].feature_count, specs[i].feature_count);
+        if (specs[i].kind == reference::FsmKind::kProximityWindow ||
+            specs[i].kind == reference::FsmKind::kEarlySection) {
+            EXPECT_EQ(fused[i].param, specs[i].param);
+        }
+    }
+}
+
+TEST(FeatureExtraction, MatchesReferenceFsmsOnGeneratedDocuments) {
+    // Every dynamic and software feature, bit for bit, on documents of
+    // the Fig. 4 size mix and on truncated 64 KB ones.
+    FeatureExtractor extractor;
+    for (const std::uint64_t seed : {7ull, 1ull, 9001ull}) {
+        DocumentGenerator generator(seed);
+        for (int i = 0; i < 20; ++i) {
+            const CompressedRequest request =
+                i < 18 ? generator.Next()
+                       : generator.WithTargetSize(kMaxCompressedBytes);
+            FeatureStore fused, expected;
+            extractor.Extract(request, fused);
+            reference::Extract(request, expected);
+            EXPECT_TRUE(SameBits(fused, expected))
+                << "seed " << seed << " doc " << i
+                << Differences(fused, expected);
+        }
+    }
+}
+
+/**
+ * A hand-built tuple stream at the edges of every filter: deltas at and
+ * one past each proximity window and the tight bound, positions at and
+ * one past each early threshold, properties at the class bounds, stream
+ * switches (including raw streams that wrap modulo kMetastreamCount),
+ * and terms equal to, one past and unrelated to the previous term,
+ * including terms >= kMaxQueryTerms that wrap into the cells. The first
+ * tuple meets the 0xFF "no previous tuple" state with term 0xFF.
+ */
+std::vector<HitTuple> BoundaryStream() {
+    std::vector<HitTuple> tuples;
+    std::uint32_t position = 0;
+    const auto add = [&](std::uint32_t delta, std::uint8_t term,
+                         std::uint8_t stream, std::uint16_t properties) {
+        tuples.push_back({.delta = delta, .term = term, .stream = stream,
+                          .properties = properties});
+        position += delta;
+    };
+    add(0, 0xFF, 3, 0);
+
+    // Positions exactly at, and one past, each early threshold.
+    for (const auto& spec : reference::Specs()) {
+        if (spec.kind != reference::FsmKind::kEarlySection) continue;
+        add(spec.param - position, 1, 0, 16);
+        add(1, 1, 0, 15);
+    }
+
+    std::vector<std::uint32_t> deltas = {0, 1, 3, 4};
+    for (const auto& spec : reference::Specs()) {
+        if (spec.kind != reference::FsmKind::kProximityWindow) continue;
+        deltas.push_back(spec.param);
+        deltas.push_back(spec.param + 1);
+    }
+    const std::uint16_t properties[] = {0, 1, 15, 16, 255, 256, 65535};
+    // Consecutive pairs: repeat, next, next, repeat, unrelated, next
+    // (wrapping 9 -> 10 into cell 0), next, repeat, next, unrelated,
+    // repeat of 0xFF, unrelated, next, unrelated.
+    const std::uint8_t terms[] = {0,  0,  1,   2,   2, 9, 10,
+                                  11, 11, 12, 255, 255, 4, 5};
+    const std::uint8_t streams[] = {0, 0, 0, 1, 1, 2, 2, 3, 4, 0, 5, 1, 6};
+    std::size_t i = 0;
+    for (const std::uint32_t delta : deltas) {
+        for (const std::uint16_t props : properties) {
+            add(delta, terms[i % std::size(terms)],
+                streams[i % std::size(streams)], props);
+            ++i;
+        }
+    }
+    return tuples;
+}
+
+TEST(FeatureExtraction, MatchesReferenceFsmsOnBoundaryStream) {
+    const std::vector<HitTuple> tuples = BoundaryStream();
+    FeatureExtractor extractor;
+    for (const std::uint32_t length : {0u, 100u, 1'000'000u}) {
+        FeatureStore fused, expected;
+        extractor.ExtractTuples(tuples, length, fused);
+        reference::ExtractTuples(tuples, length, expected);
+        EXPECT_TRUE(SameBits(fused, expected))
+            << "length " << length << Differences(fused, expected);
+
+        // The stream drives every FSM, so a dropped or misrouted
+        // feature cannot hide behind zeros on both sides.
+        for (const auto& d : FeatureExtractor::Descriptors()) {
+            bool lit = false;
+            for (std::uint32_t id = d.feature_base;
+                 id < d.feature_base + d.feature_count; ++id) {
+                lit = lit || expected.Get(id) != 0.0f;
+            }
+            EXPECT_TRUE(lit) << d.name;
+        }
+    }
+    // Every prefix, so each tuple's effect is checked on its own.
+    for (std::size_t n = 0; n <= tuples.size(); ++n) {
+        FeatureStore fused, expected;
+        const std::span<const HitTuple> prefix(tuples.data(), n);
+        extractor.ExtractTuples(prefix, 100, fused);
+        reference::ExtractTuples(prefix, 100, expected);
+        ASSERT_TRUE(SameBits(fused, expected))
+            << "prefix " << n << Differences(fused, expected);
+    }
+}
+
+TEST(FeatureExtraction, GoldenFeaturesArePinned) {
+    // FNV-1a over the float bits of all 4,484 dynamic features and the
+    // software slots for 64 documents (32 from each of two generator
+    // seeds), recorded with 43 separate per-tuple FSMs. Any change to
+    // a feature's bits changes the hash, including features no model
+    // reads.
+    FeatureExtractor extractor;
+    FeatureStore store;
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const std::uint64_t seed : {11ull, 2025ull}) {
+        DocumentGenerator generator(seed);
+        for (int i = 0; i < 32; ++i) {
+            store.Clear();
+            extractor.Extract(generator.Next(), store);
+            for (std::uint32_t id = 0;
+                 id < kSoftwareFeatureBase + kSoftwareFeatureSlots; ++id) {
+                const float value = store.Get(id);
+                std::uint32_t bits;
+                std::memcpy(&bits, &value, sizeof bits);
+                hash ^= bits;
+                hash *= 1099511628211ull;
+            }
+        }
+    }
+    EXPECT_EQ(hash, 0x474a0ff35a15c53full);
 }
 
 TEST(FeatureExtraction, ServiceTimeScalesWithTuples) {

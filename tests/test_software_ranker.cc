@@ -108,8 +108,9 @@ TEST(RankingFunction, GoldenScoresArePinned) {
 TEST(SharedModel, ConcurrentRankingFunctionsScoreIdentically) {
     // Rings on different threads score through their own
     // RankingFunctions over one cached Model: the compiled partitions
-    // and flat trees are shared read-only, register scratch is per
-    // function. Both threads must match a serial run bit for bit.
+    // and flat trees are shared read-only, register scratch and FE
+    // accumulators are per function. Both threads must match a serial
+    // run bit for bit, in every extracted feature and every score.
     ModelStore::Config config;
     config.model = SmallModelConfig();
     ModelStore store_a(config);
@@ -120,21 +121,34 @@ TEST(SharedModel, ConcurrentRankingFunctionsScoreIdentically) {
     DocumentGenerator generator(123);
     std::vector<CompressedRequest> docs;
     for (int i = 0; i < 24; ++i) docs.push_back(generator.Next());
-    std::vector<float> expected;
-    RankingFunction serial(&model);
-    for (const auto& doc : docs) expected.push_back(serial.Score(doc));
-
-    const auto score_all = [&](std::vector<float>& out) {
-        RankingFunction function(&model);
-        for (const auto& doc : docs) out.push_back(function.Score(doc));
+    struct Run {
+        std::vector<float> scores;
+        std::vector<std::vector<std::uint32_t>> feature_bits;
     };
-    std::vector<float> first, second;
+    const auto score_all = [&](Run& out) {
+        RankingFunction function(&model);
+        FeatureStore store;
+        for (const auto& doc : docs) {
+            function.ExtractFeatures(doc, store);
+            std::vector<std::uint32_t> bits(store.raw().size());
+            std::memcpy(bits.data(), store.raw().data(),
+                        bits.size() * sizeof(float));
+            out.feature_bits.push_back(std::move(bits));
+            out.scores.push_back(function.Score(doc));
+        }
+    };
+    Run expected;
+    score_all(expected);
+
+    Run first, second;
     std::thread a(score_all, std::ref(first));
     std::thread b(score_all, std::ref(second));
     a.join();
     b.join();
-    EXPECT_EQ(first, expected);
-    EXPECT_EQ(second, expected);
+    EXPECT_EQ(first.scores, expected.scores);
+    EXPECT_EQ(second.scores, expected.scores);
+    EXPECT_TRUE(first.feature_bits == expected.feature_bits);
+    EXPECT_TRUE(second.feature_bits == expected.feature_bits);
 }
 
 TEST(CpuPool, ParallelismUpToCoreCount) {
