@@ -338,6 +338,7 @@ int main() {
         return 1;
     }
 
+    if (!ok) return 1;  // a Part 1-3 shape check printed FAIL above
     std::printf("PASS: 3-pod scatter-gather sustains %.2fx single-pod "
                 "dispatch; merge overhead %.2f%% of gather p50; %llu/%llu "
                 "deadline gathers partial with 0 lost shards; parallel "

@@ -63,7 +63,6 @@ double RunMix(service::PodTestbed& bed, int model_count, int docs,
 int main() {
     service::PodTestbed::Config config;
     config.fabric.device.configure_time = Milliseconds(20);
-    config.service.queue_manager.queue_timeout = Microseconds(500);
     service::PodTestbed bed(config);
     if (!bed.DeployAndSettle()) {
         std::printf("deployment failed\n");

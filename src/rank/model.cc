@@ -5,6 +5,8 @@
 #include <mutex>
 #include <tuple>
 
+#include "rank/ffe/processor.h"
+
 namespace catapult::rank {
 
 namespace {
@@ -151,6 +153,13 @@ std::unique_ptr<Model> Model::Generate(std::uint32_t model_id,
     }
     model->ffe0_ = ffe::Partition(std::move(ffe0));
     model->ffe1_ = ffe::Partition(std::move(ffe1));
+    // Each chip's per-document time under the default processor config,
+    // the one RankingFunction loads.
+    ffe::FfeProcessor processor;
+    processor.Load(model->ffe0_);
+    model->ffe0_service_time_ = processor.DocumentServiceTime();
+    processor.Load(model->ffe1_);
+    model->ffe1_service_time_ = processor.DocumentServiceTime();
 
     // 3. Scoring ensemble + compression stage programming.
     model->ensemble_ =
@@ -186,6 +195,36 @@ Bytes Model::ReloadBytes(PipelineStage stage) const {
         return ensemble_.shard(2).ModelBytes();
       case PipelineStage::kSpare:
         return 0;
+    }
+    return 0;
+}
+
+Time Model::StageServiceTime(PipelineStage stage,
+                              std::uint32_t tuple_count) const {
+    switch (stage) {
+      case PipelineStage::kFeatureExtraction: {
+        const FeatureExtractor::Timing fe;
+        const auto cycles =
+            fe.base_cycles +
+            static_cast<std::int64_t>(fe.cycles_per_tuple * tuple_count + 1);
+        return fe.clock.Cycles(cycles);
+      }
+      case PipelineStage::kFfe0:
+        return ffe0_service_time_;
+      case PipelineStage::kFfe1:
+        return ffe1_service_time_;
+      case PipelineStage::kCompression:
+        return compression_.ServiceTime();
+      case PipelineStage::kScoring0:
+      case PipelineStage::kScoring1:
+      case PipelineStage::kScoring2:
+        return ensemble_
+            .shard(static_cast<int>(stage) -
+                   static_cast<int>(PipelineStage::kScoring0))
+            .ServiceTime();
+      case PipelineStage::kSpare:
+        // Pass-through forwarding only.
+        return Microseconds(1);
     }
     return 0;
 }

@@ -87,6 +87,17 @@ class Model {
     /** Model memory that stage must reload on a model switch (§4.3). */
     Bytes ReloadBytes(PipelineStage stage) const;
 
+    /**
+     * Simulated time `stage` spends on one document of `tuple_count`
+     * hit-vector tuples: FE streams the tuples at the Table 1 rate
+     * (FeatureExtractor::Timing), the FFE stages run this model's
+     * compiled programs, and compression and scoring scale with its
+     * operand and tree footprints. Timing only: the score itself comes
+     * from RankingFunction::Score.
+     */
+    Time StageServiceTime(PipelineStage stage,
+                          std::uint32_t tuple_count) const;
+
     /** Total FFE operation count (software cost model input). */
     std::int64_t total_ffe_ops() const { return total_ffe_ops_; }
     std::int64_t total_tree_nodes() const;
@@ -103,6 +114,9 @@ class Model {
     CompressionStage compression_;
     std::int64_t total_ffe_ops_ = 0;
     int metafeature_count_ = 0;
+    /** Per-document FFE chip times, from the cycle model at Generate. */
+    Time ffe0_service_time_ = 0;
+    Time ffe1_service_time_ = 0;
 };
 
 /**

@@ -8,10 +8,12 @@
 // FPGA-side host only runs the pre-processing portion (§4: SSD lookup,
 // hit-vector computation, a few software features).
 //
-// RankingFunction is the shared functional path — the same feature
-// FSMs, the same compiled-FFE semantics, the same ensemble — used by
-// the software baseline, by tests, and (stage-wise) by the FPGA roles,
-// which is what makes FPGA and software scores identical (§4).
+// RankingFunction is the shared functional path — the same fused
+// feature-extraction pass, the same compiled-FFE semantics, the same
+// ensemble. The simulated FPGA ring scores each answered document with
+// one Score call (its stage roles model timing only), so FPGA and
+// software scores are identical (§4). The stage-wise API serves the
+// score replay in perfbench, the micro-benchmarks and the tests.
 
 #pragma once
 
@@ -38,7 +40,7 @@ class RankingFunction {
     /** Score one request end-to-end (FE -> FFE0 -> FFE1 -> Comp -> Score). */
     float Score(const CompressedRequest& request);
 
-    /** Stage-wise access for the distributed FPGA roles. */
+    /** Stage-wise access, for per-stage replay and measurement. */
     void ExtractFeatures(const CompressedRequest& request, FeatureStore& store);
     void RunFfe0(FeatureStore& store) { ffe0_.ExecuteAll(store); }
     void RunFfe1(FeatureStore& store) { ffe1_.ExecuteAll(store); }

@@ -54,7 +54,6 @@ RankingService::RankingService(sim::Simulator* simulator,
       placement_(placement),
       config_(std::move(config)),
       models_(config_.models),
-      queue_manager_(config_.queue_manager),
       trace_archive_(config_.trace_archive_capacity),
       next_trace_id_(config_.trace_id_base + 1) {
     assert(simulator_ != nullptr && fabric_ != nullptr);
@@ -160,10 +159,8 @@ int RankingService::RingIndexOf(PipelineStage stage) const {
 Time RankingService::StageServiceTime(PipelineStage stage,
                                       const rank::CompressedRequest& request,
                                       std::uint32_t model_id) {
-    const rank::Model& model =
-        models_.GetOrGenerate(model_id, config_.model_seed);
-    return StageServiceTimeFor(stage, request, model, FunctionFor(model_id),
-                               config_.fe_timing);
+    return models_.GetOrGenerate(model_id, config_.model_seed)
+        .StageServiceTime(stage, request.tuple_count);
 }
 
 Bytes RankingService::StageOutputBytes(PipelineStage stage,
@@ -210,9 +207,6 @@ host::SendStatus RankingService::InjectOnSlot(
     ctx.slot = slot;
     ctx.injected_at = simulator_->Now();
     ctx.on_complete = std::move(on_complete);
-    if (config_.compute_scores) {
-        ctx.store = std::make_unique<rank::FeatureStore>();
-    }
     if (obs_ != nullptr && obs_->tracing() &&
         request.query.obs_trace != 0) {
         ctx.obs_trace = request.query.obs_trace;
@@ -226,24 +220,21 @@ host::SendStatus RankingService::InjectOnSlot(
         request.wire_bytes > 0 ? request.wire_bytes : request.EncodedSize(),
         trace_id);
 
-    if (server->driver().SlotBusy(slot)) {
-        in_flight_.erase(trace_id);
-        return host::SendStatus::kSlotBusy;
-    }
+    if (server->driver().SlotBusy(slot)) return host::SendStatus::kSlotBusy;
     in_flight_.emplace(trace_id, std::move(ctx));
     ++counters_.injected;
 
     // The injecting thread first runs the document-conversion software
     // (§4) before filling its slot.
     simulator_->ScheduleAfter(
-        config_.injection_overhead,
+        kInjectionOverhead,
         [this, server, slot, trace_id, packet = std::move(packet)]() mutable {
             const auto status = server->driver().Send(
                 slot, std::move(packet),
                 [this, trace_id](host::SendStatus send_status,
-                                 shell::PacketPtr response) {
+                                 shell::PacketPtr) {
                     if (send_status == host::SendStatus::kOk) {
-                        OnResponse(trace_id, true, 0.0f, std::move(response));
+                        OnResponse(trace_id);
                     } else {
                         CompleteTimeout(trace_id);
                     }
@@ -253,17 +244,17 @@ host::SendStatus RankingService::InjectOnSlot(
     return host::SendStatus::kOk;
 }
 
-void RankingService::OnResponse(std::uint64_t trace_id, bool ok, float score,
-                                shell::PacketPtr packet) {
-    (void)score;
-    (void)packet;
+void RankingService::OnResponse(std::uint64_t trace_id) {
     const auto it = in_flight_.find(trace_id);
     if (it == in_flight_.end()) return;
     DocContext& ctx = it->second;
     ScoreResult result;
-    result.ok = ok;
+    result.ok = true;
     result.trace_id = trace_id;
-    result.score = ctx.final_score;
+    if (config_.compute_scores) {
+        result.score =
+            FunctionFor(ctx.request.query.model_id).Score(ctx.request);
+    }
     result.latency = simulator_->Now() - ctx.injected_at;
     ++counters_.completed;
     if (obs_doc_latency_us_ != nullptr) {
@@ -274,16 +265,16 @@ void RankingService::OnResponse(std::uint64_t trace_id, bool ok, float score,
         // keyed by the FDR-visible trace id so recorder records join
         // this span in the stitched timeline.
         obs_->tracer.Instant("dma_response", ctx.obs_trace, ctx.obs_span,
-                             trace_id, simulator_->Now(), ctx.slot, ok ? 1 : 0);
+                             trace_id, simulator_->Now(), ctx.slot, 1);
         obs_->tracer.Span("doc", ctx.obs_trace, ctx.obs_span, ctx.obs_parent,
-                          trace_id, ctx.injected_at, simulator_->Now(),
-                          ok ? 1 : 0, ctx.slot);
+                          trace_id, ctx.injected_at, simulator_->Now(), 1,
+                          ctx.slot);
     }
     if (config_.archive_traces) {
         ArchivedTrace trace;
         trace.request = ctx.request;
-        trace.score = ctx.final_score;
-        trace.scored = ctx.store != nullptr;
+        trace.score = result.score;
+        trace.scored = config_.compute_scores;
         TraceArchive& archive = config_.shared_archive != nullptr
                                     ? *config_.shared_archive
                                     : trace_archive_;

@@ -58,18 +58,17 @@ struct ScoreResult {
 
 /**
  * Per-document in-flight context shared by the stage roles. The fabric
- * carries packets; heavyweight state (the request, the feature store
- * when functional scoring is on) lives here, keyed by trace id — the
+ * carries packets; the request lives here, keyed by trace id — the
  * same id the Flight Data Recorder logs, so an FDR trace can be
- * replayed against this table in a test environment (§3.6).
+ * replayed against this table in a test environment (§3.6). The roles
+ * read it for timing only; the score is computed from it once, when
+ * the response lands.
  */
 struct DocContext {
     rank::CompressedRequest request;
     shell::NodeId injector = shell::kInvalidNode;
     int slot = -1;
     Time injected_at = 0;
-    std::unique_ptr<rank::FeatureStore> store;  ///< null when timing-only
-    float final_score = 0.0f;
     std::function<void(const ScoreResult&)> on_complete;
     /** Tracing context joined from request.query (0 = untraced). */
     std::uint64_t obs_trace = 0;
@@ -80,6 +79,13 @@ struct DocContext {
 class RankingService {
   public:
     static constexpr int kRingLength = 8;
+    /**
+     * Per-document software cost paid by the injecting thread before
+     * the slot fills (§4: "performs the software portion of the
+     * scoring, converts the document into a format suitable for FPGA
+     * evaluation, and then injects the document").
+     */
+    static constexpr Time kInjectionOverhead = Microseconds(12);
 
     struct Config {
         /**
@@ -87,22 +93,14 @@ class RankingService {
          * the same pool stay distinguishable in the Mapping Manager.
          */
         std::string service_name = "bing.ranking";
-        /** Run the full functional pipeline (bit-exact scores). */
+        /**
+         * Score each answered document (bit-exact with software, §4)
+         * with one RankingFunction::Score call. Timing is the same
+         * either way.
+         */
         bool compute_scores = false;
         std::uint64_t model_seed = 0xCA7A9017ull;
         rank::ModelStore::Config models;
-        rank::QueueManager::Config queue_manager;
-        /** FE timing (the pipeline bottleneck, §5). */
-        rank::FeatureExtractor::Timing fe_timing;
-        /** Host request timeout feeding failure handling (§3.2). */
-        Time request_timeout = Milliseconds(8);
-        /**
-         * Per-document software cost paid by the injecting thread
-         * before the slot fills (§4: "performs the software portion of
-         * the scoring, converts the document into a format suitable for
-         * FPGA evaluation, and then injects the document").
-         */
-        Time injection_overhead = Microseconds(12);
         /**
          * Archive every (trace id, document, score) for offline FDR
          * trace replay (§3.6). Off by default: production keeps a
@@ -192,7 +190,7 @@ class RankingService {
     rank::QueueManager& queue_manager();
     DocContext* FindContext(std::uint64_t trace_id);
 
-    /** Per-stage service time for a given request (used by benches). */
+    /** Model::StageServiceTime of `model_id` for `request`. */
     Time StageServiceTime(rank::PipelineStage stage,
                           const rank::CompressedRequest& request,
                           std::uint32_t model_id);
@@ -219,7 +217,10 @@ class RankingService {
     }
     const Config& config() const { return config_; }
 
-    /** Functional pipeline bound to a model (lazily built, cached). */
+    /**
+     * Functional pipeline bound to a model (lazily built, cached): the
+     * scorer when compute_scores is set, and a replay hook for tests.
+     */
     rank::RankingFunction& FunctionFor(std::uint32_t model_id);
 
     /** Stage-role hook: count a pipeline-wide model reload. */
@@ -243,8 +244,7 @@ class RankingService {
     friend class StageRole;
 
     void BuildRoles();
-    void OnResponse(std::uint64_t trace_id, bool ok, float score,
-                    shell::PacketPtr packet);
+    void OnResponse(std::uint64_t trace_id);
     void CompleteTimeout(std::uint64_t trace_id);
 
     sim::Simulator* simulator_;

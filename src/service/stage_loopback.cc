@@ -33,11 +33,8 @@ class StageLoopback::LoopRole : public shell::Role {
         queue_.pop_front();
         // Service time derives from the injected document's tuple count
         // (stashed in the packet payload by the rig).
-        rank::CompressedRequest request;
-        request.tuple_count = static_cast<std::uint32_t>(packet->payload);
-        const Time service = StageServiceTimeFor(
-            rig_->config_.stage, request, *rig_->model_, *rig_->function_,
-            rig_->config_.fe_timing);
+        const Time service = rig_->model_->StageServiceTime(
+            rig_->config_.stage, static_cast<std::uint32_t>(packet->payload));
         simulator_->ScheduleAfter(service, [this, packet] {
             auto response = shell::MakePacket(
                 shell::PacketType::kScoringResponse, shell_->node(),
@@ -74,7 +71,6 @@ StageLoopback::StageLoopback(Config config)
                                                &fabric_->shell(0));
 
     model_ = rank::Model::Generate(0, config_.model_seed, config_.model);
-    function_ = std::make_unique<rank::RankingFunction>(model_.get());
 
     const int role_node = config_.via_sl3 ? 1 : 0;
     role_ = std::make_unique<LoopRole>(this, &simulator_,

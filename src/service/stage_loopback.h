@@ -23,8 +23,6 @@
 #include "host/host_server.h"
 #include "rank/document_generator.h"
 #include "rank/model.h"
-#include "rank/software_ranker.h"
-#include "service/stage_role.h"
 #include "sim/simulator.h"
 
 namespace catapult::service {
@@ -39,7 +37,6 @@ class StageLoopback {
         std::uint64_t corpus_seed = 42;
         std::uint64_t model_seed = 0xCA7A9017ull;
         rank::DocumentGenerator::Config corpus;
-        rank::FeatureExtractor::Timing fe_timing;
         rank::Model::Config model;
     };
 
@@ -64,7 +61,6 @@ class StageLoopback {
     std::unique_ptr<fabric::CatapultFabric> fabric_;
     std::unique_ptr<host::HostServer> host_;
     std::unique_ptr<rank::Model> model_;
-    std::unique_ptr<rank::RankingFunction> function_;
     std::unique_ptr<LoopRole> role_;
     rank::DocumentGenerator generator_;
     Result result_;

@@ -9,39 +9,6 @@ namespace catapult::service {
 
 using rank::PipelineStage;
 
-Time StageServiceTimeFor(PipelineStage stage,
-                         const rank::CompressedRequest& request,
-                         const rank::Model& model,
-                         const rank::RankingFunction& function,
-                         const rank::FeatureExtractor::Timing& fe_timing) {
-    switch (stage) {
-      case PipelineStage::kFeatureExtraction: {
-        const auto cycles =
-            fe_timing.base_cycles +
-            static_cast<std::int64_t>(
-                fe_timing.cycles_per_tuple * request.tuple_count + 1);
-        return fe_timing.clock.Cycles(cycles);
-      }
-      case PipelineStage::kFfe0:
-        return function.ffe0().DocumentServiceTime();
-      case PipelineStage::kFfe1:
-        return function.ffe1().DocumentServiceTime();
-      case PipelineStage::kCompression:
-        return model.compression().ServiceTime();
-      case PipelineStage::kScoring0:
-      case PipelineStage::kScoring1:
-      case PipelineStage::kScoring2: {
-        const int shard = static_cast<int>(stage) -
-                          static_cast<int>(PipelineStage::kScoring0);
-        return model.ensemble().shard(shard).ServiceTime();
-      }
-      case PipelineStage::kSpare:
-        // Pass-through forwarding only.
-        return Microseconds(1);
-    }
-    return 0;
-}
-
 StageRole::StageRole(RankingService* service, sim::Simulator* simulator,
                      shell::Shell* shell, PipelineStage stage, int ring_index)
     : service_(service),
@@ -118,8 +85,6 @@ void StageRole::PumpHead() {
         const rank::Model& model =
             service_->models().GetOrGenerate(decision.model_id,
                                              service_->config().model_seed);
-        loaded_model_ = decision.model_id;
-        model_loaded_ = true;
         auto command = shell::MakePacket(shell::PacketType::kModelReload,
                                          shell_->node(), shell_->node(), 64);
         command->payload = decision.model_id;
@@ -165,8 +130,6 @@ void StageRole::Pump() {
         const auto model_id = static_cast<std::uint32_t>(packet->payload);
         const rank::Model& model = service_->models().GetOrGenerate(
             model_id, service_->config().model_seed);
-        loaded_model_ = model_id;
-        model_loaded_ = true;
         busy_ = true;
         const Time reload = service_->models().StageReloadTime(model, stage_);
         simulator_->ScheduleAfter(
@@ -216,43 +179,6 @@ void StageRole::StartService(shell::PacketPtr packet) {
 
 void StageRole::FinishService(shell::PacketPtr packet) {
     ++counters_.processed;
-    DocContext* ctx = service_->FindContext(packet->trace_id);
-    if (ctx != nullptr && ctx->store != nullptr) {
-        // Functional path (bit-exact scores).
-        auto& fn = service_->FunctionFor(ctx->request.query.model_id);
-        switch (stage_) {
-          case PipelineStage::kFeatureExtraction:
-            fn.ExtractFeatures(ctx->request, *ctx->store);
-            break;
-          case PipelineStage::kFfe0:
-            fn.RunFfe0(*ctx->store);
-            break;
-          case PipelineStage::kFfe1:
-            fn.RunFfe1(*ctx->store);
-            break;
-          case PipelineStage::kCompression: {
-            rank::FeatureStore compressed;
-            fn.Compress(*ctx->store, compressed);
-            *ctx->store = std::move(compressed);
-            break;
-          }
-          case PipelineStage::kScoring0:
-            ctx->final_score +=
-                fn.model().ensemble().shard(0).PartialScore(*ctx->store);
-            break;
-          case PipelineStage::kScoring1:
-            ctx->final_score +=
-                fn.model().ensemble().shard(1).PartialScore(*ctx->store);
-            break;
-          case PipelineStage::kScoring2:
-            ctx->final_score +=
-                fn.model().ensemble().shard(2).PartialScore(*ctx->store);
-            break;
-          case PipelineStage::kSpare:
-            break;
-        }
-    }
-
     if (stage_ == PipelineStage::kScoring2) {
         EmitResponse(std::move(packet));
     } else if (stage_ == PipelineStage::kSpare) {

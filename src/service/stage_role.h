@@ -6,6 +6,12 @@
 // Manager with its per-model DRAM queues and issues Model Reload
 // commands (§4.3). The final scoring role emits the response packet
 // back to the injector.
+//
+// Roles carry timing only: each holds a document for its stage's
+// Model::StageServiceTime and forwards it. The score does not depend
+// on where the stages run (§4: "identical to software"), so
+// RankingService::OnResponse computes it in one call when the response
+// lands.
 
 #pragma once
 
@@ -15,24 +21,12 @@
 #include <unordered_map>
 
 #include "rank/model.h"
-#include "rank/software_ranker.h"
 #include "shell/shell.h"
 #include "sim/simulator.h"
 
 namespace catapult::service {
 
 class RankingService;
-
-/**
- * Stage service time for one document: FE scales with tuple count; the
- * FFE stages with the loaded model's compiled programs; compression and
- * scoring with the model's operand/tree footprints.
- */
-Time StageServiceTimeFor(rank::PipelineStage stage,
-                         const rank::CompressedRequest& request,
-                         const rank::Model& model,
-                         const rank::RankingFunction& function,
-                         const rank::FeatureExtractor::Timing& fe_timing);
 
 class StageRole : public shell::Role {
   public:
@@ -80,8 +74,6 @@ class StageRole : public shell::Role {
     std::unordered_map<std::uint64_t, shell::PacketPtr> head_pending_;
     bool busy_ = false;
     bool hung_ = false;
-    std::uint32_t loaded_model_ = 0;
-    bool model_loaded_ = false;
     /**
      * Liveness guard for simulator callbacks: a ring redeploy
      * (RankingService::BuildRoles) destroys and rebuilds every role

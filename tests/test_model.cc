@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 
 #include "common/rng.h"
 #include "rank/ffe/processor.h"
@@ -155,6 +156,27 @@ TEST(Model, ProductionSplitAndTimingArePinned) {
     ffe1.Load(model->ffe1());
     EXPECT_EQ(ffe0.DocumentCycles(), 966);
     EXPECT_EQ(ffe1.DocumentCycles(), 1'014);
+    // Per-document stage times in ps, recorded before Model owned them
+    // (through the ring's former free function, at the default FE
+    // timing). FE is the only stage that depends on the tuple count.
+    constexpr PipelineStage kFe = PipelineStage::kFeatureExtraction;
+    EXPECT_EQ(model->StageServiceTime(kFe, 100), 2'006'767);
+    EXPECT_EQ(model->StageServiceTime(kFe, 2'401), 9'673'817);
+    EXPECT_EQ(model->StageServiceTime(kFe, 10'000), 35'008'417);
+    const std::pair<PipelineStage, Time> fixed[] = {
+        {PipelineStage::kFfe0, 7'728'000},
+        {PipelineStage::kFfe1, 8'112'000},
+        {PipelineStage::kCompression, 1'750'140},
+        {PipelineStage::kScoring0, 3'734'880},
+        {PipelineStage::kScoring1, 3'734'880},
+        {PipelineStage::kScoring2, 3'734'880},
+        {PipelineStage::kSpare, 1'000'000},
+    };
+    for (const auto& [stage, time] : fixed) {
+        EXPECT_EQ(model->StageServiceTime(stage, 100), time) << ToString(stage);
+        EXPECT_EQ(model->StageServiceTime(stage, 10'000), time)
+            << ToString(stage);
+    }
 }
 
 TEST(Model, ReloadBytesPerStage) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <memory>
+#include <vector>
+
 #include "rank/document_generator.h"
 #include "rank/software_ranker.h"
 #include "service/load_generator.h"
@@ -60,26 +65,84 @@ TEST(RankingService, ScoresOneDocumentEndToEnd) {
 TEST(RankingService, FpgaScoreIdenticalToSoftware) {
     // §4: "Our implementation produces results that are identical to
     // software." The score computed by the distributed pipeline must
-    // equal the software reference.
+    // equal the software reference. Documents interleave four models,
+    // so every document after the first follows a Model Reload.
     PodTestbed bed(FastConfig(/*compute_scores=*/true));
     ASSERT_TRUE(bed.DeployAndSettle());
     rank::DocumentGenerator generator(7);
 
-    const rank::Model& model = bed.service().DefaultModel();
-    rank::RankingFunction reference(&model);
-
-    for (int i = 0; i < 5; ++i) {
+    std::map<std::uint32_t, std::unique_ptr<rank::RankingFunction>>
+        references;
+    for (int i = 0; i < 8; ++i) {
         rank::CompressedRequest request = generator.Next();
-        request.query.model_id = 0;
+        request.query.model_id = static_cast<std::uint32_t>(i % 4);
+        auto& reference = references[request.query.model_id];
+        if (!reference) {
+            reference = std::make_unique<rank::RankingFunction>(
+                &bed.service().models().GetOrGenerate(
+                    request.query.model_id, bed.service().config().model_seed));
+        }
         ScoreResult result;
         ASSERT_EQ(bed.service().Inject(i % 8, 0, request,
                                        [&](const ScoreResult& r) { result = r; }),
                   host::SendStatus::kOk);
         bed.simulator().Run();
         ASSERT_TRUE(result.ok);
-        EXPECT_EQ(result.score, reference.ReferenceScore(request))
+        EXPECT_EQ(result.score, reference->ReferenceScore(request))
             << "doc " << i;
     }
+    EXPECT_GE(bed.service().counters().model_reloads, 8u);
+}
+
+TEST(RankingService, TimingIndependentOfScoring) {
+    // The ring models timing only; the score is one call at the
+    // response. Scoring on or off, the same 4-model closed-loop stream
+    // must see the same per-document latency and fire the same events.
+    struct Run {
+        std::vector<Time> latency;
+        std::uint64_t events = 0;
+        std::uint64_t model_reloads = 0;
+        int nonzero_scores = 0;
+    };
+    const auto run = [](bool compute_scores) {
+        PodTestbed bed(FastConfig(compute_scores));
+        EXPECT_TRUE(bed.DeployAndSettle());
+        rank::DocumentGenerator generator(23);
+        constexpr int kDocs = 32;
+        constexpr int kClients = 4;
+        Run out;
+        out.latency.assign(kDocs, -1);
+        int next = 0;
+        std::function<void(int)> send = [&](int client) {
+            if (next >= kDocs) return;
+            const int id = next++;
+            rank::CompressedRequest request = generator.Next();
+            request.query.model_id = static_cast<std::uint32_t>(id % 4);
+            const auto status = bed.service().Inject(
+                client, 0, request, [&, id, client](const ScoreResult& r) {
+                    if (r.ok) out.latency.at(id) = r.latency;
+                    if (r.score != 0.0f) ++out.nonzero_scores;
+                    send(client);
+                });
+            EXPECT_EQ(status, host::SendStatus::kOk) << "doc " << id;
+        };
+        for (int c = 0; c < kClients; ++c) send(c);
+        bed.simulator().Run();
+        out.events = bed.simulator().EventsFired();
+        out.model_reloads = bed.service().counters().model_reloads;
+        return out;
+    };
+    const Run scored = run(true);
+    const Run timed = run(false);
+    for (std::size_t i = 0; i < scored.latency.size(); ++i) {
+        EXPECT_GT(scored.latency[i], 0) << "doc " << i << " unanswered";
+        EXPECT_EQ(scored.latency[i], timed.latency[i]) << "doc " << i;
+    }
+    EXPECT_EQ(scored.events, timed.events);
+    EXPECT_EQ(scored.model_reloads, timed.model_reloads);
+    EXPECT_GT(scored.model_reloads, 1u);
+    EXPECT_GT(scored.nonzero_scores, 0);
+    EXPECT_EQ(timed.nonzero_scores, 0);
 }
 
 TEST(RankingService, AnyNodeCanInject) {
