@@ -15,47 +15,11 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
     return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
     std::uint64_t sm = seed;
     for (auto& s : state_) s = SplitMix64(sm);
-}
-
-std::uint64_t Rng::Next() {
-    const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = Rotl(state_[3], 45);
-    return result;
-}
-
-double Rng::NextDouble() {
-    // 53 high-quality bits -> [0, 1).
-    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t Rng::NextBounded(std::uint64_t bound) {
-    assert(bound > 0);
-    // Lemire's nearly-divisionless bounded generation.
-    __uint128_t m = static_cast<__uint128_t>(Next()) * bound;
-    auto low = static_cast<std::uint64_t>(m);
-    if (low < bound) {
-        const std::uint64_t threshold = -bound % bound;
-        while (low < threshold) {
-            m = static_cast<__uint128_t>(Next()) * bound;
-            low = static_cast<std::uint64_t>(m);
-        }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
@@ -66,12 +30,6 @@ std::int64_t Rng::UniformInt(std::int64_t lo, std::int64_t hi) {
 
 double Rng::Uniform(double lo, double hi) {
     return lo + (hi - lo) * NextDouble();
-}
-
-bool Rng::Chance(double p) {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return NextDouble() < p;
 }
 
 double Rng::Exponential(double mean) {
@@ -109,15 +67,6 @@ std::uint64_t Rng::Geometric(double p) {
     return GeometricFromLogQ(GeometricLogQ(p));
 }
 
-std::uint64_t Rng::GeometricFromLogQ(double log_q) {
-    assert(log_q < 0.0);
-    double u;
-    do {
-        u = NextDouble();
-    } while (u <= 0.0);
-    return static_cast<std::uint64_t>(std::floor(std::log(u) / log_q));
-}
-
 double Rng::GeometricLogQ(double p) {
     // Through a volatile, so no build folds log1p of a constant p at
     // compile time: a folded value is rounded by the compiler's own
@@ -143,18 +92,6 @@ std::uint64_t Rng::Poisson(double lambda) {
     // load-generator use cases (lambda >> 1).
     const double x = Normal(lambda, std::sqrt(lambda));
     return x < 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
-}
-
-std::size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-    double total = 0.0;
-    for (double w : weights) total += w;
-    assert(total > 0.0);
-    double target = NextDouble() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        target -= weights[i];
-        if (target < 0.0) return i;
-    }
-    return weights.size() - 1;
 }
 
 Rng Rng::Fork() {

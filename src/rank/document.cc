@@ -1,5 +1,6 @@
 #include "rank/document.h"
 
+#include <array>
 #include <cassert>
 #include <cstring>
 
@@ -98,10 +99,20 @@ bool HitVectorReader::Next(HitTuple& tuple) {
         request_.query.term_count > 0 ? request_.query.term_count : 1;
     tuple.term = static_cast<std::uint8_t>(
         rng_.NextBounded(static_cast<std::uint64_t>(terms)));
-    static const std::vector<double> kStreamWeights = {
+    // Stream draw: one uniform scaled by the weights' total, then the
+    // weights subtracted in order until it goes negative.
+    constexpr std::array<double, 4> kStreamWeights = {
         0.55, 0.25, 0.15, 0.05};  // body, title, anchor, url
-    tuple.stream =
-        static_cast<std::uint8_t>(rng_.WeightedIndex(kStreamWeights));
+    constexpr double kStreamTotal =
+        kStreamWeights[0] + kStreamWeights[1] + kStreamWeights[2] +
+        kStreamWeights[3];
+    double target = rng_.NextDouble() * kStreamTotal;
+    std::size_t stream = 0;
+    for (; stream + 1 < kStreamWeights.size(); ++stream) {
+        target -= kStreamWeights[stream];
+        if (target < 0.0) break;
+    }
+    tuple.stream = static_cast<std::uint8_t>(stream);
     // Properties (match weight class etc.): frequency depends on the
     // query term, which drives the 2/4/6-byte size mix (§4.1).
     const double p_props = tuple.term >= 4 ? 0.35 : 0.12;
@@ -111,7 +122,6 @@ bool HitVectorReader::Next(HitTuple& tuple) {
     } else {
         tuple.properties = 0;
     }
-    position_ += tuple.delta;
     ++produced_;
     return true;
 }

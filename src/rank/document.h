@@ -118,7 +118,6 @@ class HitVectorReader {
     const CompressedRequest& request_;
     Rng rng_;
     std::uint32_t produced_ = 0;
-    std::uint32_t position_ = 0;
 };
 
 /**

@@ -358,16 +358,4 @@ void FeatureExtractor::ExtractTuples(std::span<const HitTuple> tuples,
     Emit(document_length, store);
 }
 
-Time FeatureExtractor::ServiceTime(std::uint32_t tuple_count) const {
-    const auto cycles =
-        timing_.base_cycles +
-        static_cast<std::int64_t>(
-            std::ceil(timing_.cycles_per_tuple * tuple_count));
-    return timing_.clock.Cycles(cycles);
-}
-
-Time FeatureExtractor::ServiceTime(const CompressedRequest& request) const {
-    return ServiceTime(request.tuple_count);
-}
-
 }  // namespace catapult::rank

@@ -94,6 +94,10 @@ struct FsmDescriptor {
  */
 class FeatureExtractor {
   public:
+    /**
+     * The stage's Table 1 timing constants. Model::StageServiceTime
+     * turns them into the per-document FE stage time.
+     */
     struct Timing {
         Frequency clock = Frequency::MHz(150.0);  ///< Table 1.
         /** Fixed cycles: header parse, FST swap, gather drain. */
@@ -122,13 +126,6 @@ class FeatureExtractor {
      */
     void ExtractTuples(std::span<const HitTuple> tuples,
                        std::uint32_t document_length, FeatureStore& store);
-
-    /** Stage service time for a request (§4.2 macropipeline budget). */
-    Time ServiceTime(const CompressedRequest& request) const;
-    Time ServiceTime(std::uint32_t tuple_count) const;
-
-    const Timing& timing() const { return timing_; }
-    Timing& timing() { return timing_; }
 
   private:
     static constexpr std::size_t kCells = kMetastreamCount * kMaxQueryTerms;
@@ -179,7 +176,6 @@ class FeatureExtractor {
     void Consume(const HitTuple& tuple, std::uint32_t position);
     void Emit(std::uint32_t document_length, FeatureStore& store) const;
 
-    Timing timing_;
     Accumulators acc_{};
 };
 

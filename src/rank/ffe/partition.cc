@@ -61,6 +61,11 @@ Partition::Partition(std::vector<Program> programs)
     std::vector<std::int32_t> level(n_ops);
     std::vector<std::uint8_t> kind(n_ops);
     std::vector<std::int32_t> last_store(kFeatureUniverse, -1);
+    // The op holding each slot's value since its last store (-1: none
+    // yet), and the op whose register holds each instruction's value.
+    std::vector<std::int32_t> slot_load(kFeatureUniverse, -1);
+    std::vector<std::uint32_t> value(n_instr);
+    std::uint32_t repeated_loads = 0;
     std::int32_t max_level = 0;
 
     // 1. Dependency level of every op. Constants are preloaded (level
@@ -68,7 +73,10 @@ Partition::Partition(std::vector<Program> programs)
     //    latest register or FST slot write it depends on. A load sits
     //    one level past its slot's last store, so a later store to that
     //    slot (placed after the last store) never runs at a lower level
-    //    than the load, and within a level loads run first.
+    //    than the load, and within a level loads run first. A load of a
+    //    slot already loaded since its last store would read the same
+    //    value: it is not scheduled, and its readers use the first
+    //    load's register instead.
     for (std::size_t p = 0; p < programs_.size(); ++p) {
         const Program& program = programs_[p];
         assert(!program.instructions.empty());
@@ -76,15 +84,23 @@ Partition::Partition(std::vector<Program> programs)
         for (Instruction instr : program.instructions) {
             const std::size_t id = ops.size();
             assert(instr.dst == id - base && "compiler emits SSA post-order");
+            value[id] = static_cast<std::uint32_t>(id);
             std::int32_t lv = -1;
             if (instr.op == OpCode::kLoadFeature) {
                 assert(instr.feature < kFeatureUniverse);
-                lv = last_store[instr.feature] + 1;
+                std::int32_t& first = slot_load[instr.feature];
+                if (first >= 0) {
+                    value[id] = static_cast<std::uint32_t>(first);
+                    ++repeated_loads;
+                } else {
+                    first = static_cast<std::int32_t>(id);
+                    lv = last_store[instr.feature] + 1;
+                }
             } else if (instr.op != OpCode::kLoadConst) {
                 const int sources = SourceCount(instr.op);
-                instr.src_a += base;
-                instr.src_b += base;
-                instr.src_c += base;
+                instr.src_a = value[instr.src_a + base];
+                instr.src_b = value[instr.src_b + base];
+                instr.src_c = value[instr.src_c + base];
                 lv = level[instr.src_a];
                 if (sources > 1) lv = std::max(lv, level[instr.src_b]);
                 if (sources > 2) lv = std::max(lv, level[instr.src_c]);
@@ -98,9 +114,11 @@ Partition::Partition(std::vector<Program> programs)
         const std::size_t id = n_instr + p;
         const std::uint32_t slot = program.output_slot;
         assert(slot < kFeatureUniverse);
-        level[id] = std::max(level[ops.size() - 1], last_store[slot]) + 1;
+        level[id] =
+            std::max(level[value[ops.size() - 1]], last_store[slot]) + 1;
         kind[id] = kStoreKind;
         last_store[slot] = level[id];
+        slot_load[slot] = -1;
         max_level = std::max(max_level, level[id]);
     }
 
@@ -108,29 +126,26 @@ Partition::Partition(std::vector<Program> programs)
     const std::size_t keys =
         (static_cast<std::size_t>(max_level) + 1) * kKinds;
     std::vector<std::uint32_t> start(keys + 1, 0);
-    std::uint32_t constants = 0;
     for (std::size_t id = 0; id < n_ops; ++id) {
-        if (level[id] < 0) {
-            ++constants;
-            continue;
-        }
+        if (level[id] < 0) continue;
         ++start[static_cast<std::size_t>(level[id]) * kKinds + kind[id] + 1];
     }
     for (std::size_t k = 0; k < keys; ++k) start[k + 1] += start[k];
-    std::vector<std::uint32_t> order(n_ops - constants);
+    std::vector<std::uint32_t> order(start[keys]);
     for (std::size_t id = 0; id < n_ops; ++id) {
         if (level[id] < 0) continue;
         order[start[static_cast<std::size_t>(level[id]) * kKinds +
                     kind[id]]++] = static_cast<std::uint32_t>(id);
     }
 
-    // 3. Registers: constants first, then every value in schedule order,
-    //    so each batch writes a contiguous register run.
+    // 3. Registers: constants first, then every scheduled value in
+    //    schedule order, so each batch writes a contiguous register run.
+    //    Unscheduled loads get none.
     std::vector<std::uint32_t> reg(n_instr);
-    register_image_.assign(n_instr, 0.0f);
+    register_image_.assign(n_instr - repeated_loads, 0.0f);
     std::uint32_t next = 0;
     for (std::size_t id = 0; id < n_instr; ++id) {
-        if (level[id] < 0) {
+        if (ops[id].op == OpCode::kLoadConst) {
             reg[id] = next;
             register_image_[next++] = ops[id].constant;
         }
@@ -138,13 +153,14 @@ Partition::Partition(std::vector<Program> programs)
     for (const std::uint32_t id : order) {
         if (id < n_instr) reg[id] = next++;
     }
+    assert(next == register_image_.size());
 
     // 4. Batches and packed operands.
     std::vector<std::uint32_t> root(programs_.size());
     std::uint32_t end = 0;
     for (std::size_t p = 0; p < programs_.size(); ++p) {
         end += static_cast<std::uint32_t>(programs_[p].instructions.size());
-        root[p] = end - 1;
+        root[p] = value[end - 1];
     }
     std::int64_t current_key = -1;
     for (const std::uint32_t id : order) {
@@ -174,6 +190,16 @@ Partition::Partition(std::vector<Program> programs)
         if (sources > 1) operands_.push_back(reg[instr.src_b]);
         if (sources > 2) operands_.push_back(reg[instr.src_c]);
     }
+}
+
+std::size_t Partition::scheduled_loads() const {
+    std::size_t loads = 0;
+    for (const Batch& batch : batches_) {
+        if (batch.kind == static_cast<std::uint8_t>(OpCode::kLoadFeature)) {
+            loads += batch.count;
+        }
+    }
+    return loads;
 }
 
 void Partition::Execute(FeatureStore& store,

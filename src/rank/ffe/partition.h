@@ -13,6 +13,11 @@
 //     metafeature producers that read an earlier producer's output see
 //     its value; a store follows the last store to its slot and, since
 //     loads run before stores within a level, every earlier load);
+//   * each (FST slot, stored version) is loaded once: a load of a slot
+//     already loaded since the slot's last store reuses that load's
+//     register and is not scheduled. This is a host-side saving only;
+//     the programs keep every load, so the chip's instruction counts
+//     and timing are unchanged;
 //   * ops are grouped by (level, opcode) with a counting sort, and each
 //     group runs as one branch-free loop.
 // Every op computes the same scalar float function of the same operand
@@ -59,6 +64,9 @@ class Partition {
 
     /** Count of (level, opcode) groups (schedule shape, for tests). */
     std::size_t batch_count() const { return batches_.size(); }
+
+    /** Feature loads the schedule runs: one per (slot, stored version). */
+    std::size_t scheduled_loads() const;
 
   private:
     /**

@@ -1,22 +1,47 @@
 #include "rank/scorer.h"
 
+#include <algorithm>
+
 namespace catapult::rank {
 
 namespace {
 
-/** Append `tree`'s subtree at `index` to `out` in pre-order. */
-void Flatten(const DecisionTree& tree, std::int32_t index,
-             std::vector<ScorerShard::Node>& out) {
+/**
+ * Append `tree`'s subtree at `index`, `depth` splits below the root, to
+ * `out` in pre-order; raise `deepest` to the depth of each leaf.
+ */
+void Flatten(const DecisionTree& tree, std::int32_t index, int depth,
+             std::vector<ScorerShard::Node>& out, int& deepest) {
     const TreeNode& node = tree.nodes[static_cast<std::size_t>(index)];
     const std::size_t at = out.size();
     out.push_back({node.feature,
                    node.feature == TreeNode::kLeaf ? node.leaf_value
                                                    : node.threshold,
                    0});
-    if (node.feature == TreeNode::kLeaf) return;
-    Flatten(tree, node.left, out);
+    if (node.feature == TreeNode::kLeaf) {
+        deepest = std::max(deepest, depth);
+        return;
+    }
+    Flatten(tree, node.left, depth + 1, out, deepest);
     out[at].right = static_cast<std::uint32_t>(out.size());
-    Flatten(tree, node.right, out);
+    Flatten(tree, node.right, depth + 1, out, deepest);
+}
+
+/**
+ * One level of a walk: the child of split node `i` that `x` selects,
+ * or `i` itself at a leaf. All-ones/zero masks stand in for the two
+ * choices so the compiler emits no branch; a leaf's comparison reads
+ * slot 0 and is discarded.
+ */
+inline std::uint32_t Step(const ScorerShard::Node* nodes, const float* x,
+                          std::uint32_t i) {
+    const ScorerShard::Node& node = nodes[i];
+    const std::uint32_t split =
+        0u - static_cast<std::uint32_t>(node.feature != TreeNode::kLeaf);
+    const std::uint32_t left =
+        0u - static_cast<std::uint32_t>(x[node.feature & split] <= node.value);
+    const std::uint32_t child = ((i + 1) & left) | (node.right & ~left);
+    return (child & split) | (i & ~split);
 }
 
 }  // namespace
@@ -28,23 +53,33 @@ ScorerShard::ScorerShard(const std::vector<DecisionTree>& trees) {
         if (tree.nodes.empty()) {
             nodes_.push_back({});  // an empty tree scores 0
         } else {
-            Flatten(tree, 0, nodes_);
+            Flatten(tree, 0, 0, nodes_, max_depth_);
         }
     }
 }
 
 float ScorerShard::PartialScore(const FeatureStore& store) const {
-    // Pipeline-order accumulation: trees evaluate in array order so the
+    // Pipeline-order accumulation: leaf values add in tree order so the
     // float sum is deterministic and identical to software.
     const Node* const nodes = nodes_.data();
+    const float* const x = store.raw().data();
+    const std::size_t trees = roots_.size();
     float sum = 0.0f;
-    for (const std::uint32_t root : roots_) {
-        std::uint32_t i = root;
-        while (nodes[i].feature != TreeNode::kLeaf) {
-            i = store.Get(nodes[i].feature) <= nodes[i].value ? i + 1
-                                                              : nodes[i].right;
+    std::size_t t = 0;
+    for (; t + kWalkWidth <= trees; t += kWalkWidth) {
+        std::uint32_t at[kWalkWidth];
+        for (int k = 0; k < kWalkWidth; ++k) at[k] = roots_[t + k];
+        for (int level = 0; level < max_depth_; ++level) {
+            for (int k = 0; k < kWalkWidth; ++k) at[k] = Step(nodes, x, at[k]);
         }
-        sum += nodes[i].value;
+        for (int k = 0; k < kWalkWidth; ++k) sum += nodes[at[k]].value;
+    }
+    for (; t < trees; ++t) {
+        std::uint32_t at = roots_[t];
+        for (int level = 0; level < max_depth_; ++level) {
+            at = Step(nodes, x, at);
+        }
+        sum += nodes[at].value;
     }
     return sum;
 }
@@ -92,20 +127,25 @@ int ScoringEnsemble::total_trees() const {
 
 namespace {
 
-/** Append one random tree to `nodes` in pre-order (left child next). */
+/**
+ * Append one random tree to `nodes` in pre-order (left child next);
+ * raise `deepest` to the depth of each leaf.
+ */
 void BuildSubtree(std::vector<ScorerShard::Node>& nodes, Rng& rng, int depth,
-                  int max_depth, const std::vector<std::uint32_t>& operands) {
+                  int max_depth, const std::vector<std::uint32_t>& operands,
+                  int& deepest) {
     const std::size_t index = nodes.size();
     nodes.emplace_back();
     if (depth >= max_depth || rng.Chance(0.25)) {
         nodes[index].value = static_cast<float>(rng.Uniform(-0.5, 0.5));
+        deepest = std::max(deepest, depth);
         return;
     }
     nodes[index].feature = operands[rng.NextBounded(operands.size())];
     nodes[index].value = static_cast<float>(rng.Uniform(0.0, 16.0));
-    BuildSubtree(nodes, rng, depth + 1, max_depth, operands);
+    BuildSubtree(nodes, rng, depth + 1, max_depth, operands, deepest);
     nodes[index].right = static_cast<std::uint32_t>(nodes.size());
-    BuildSubtree(nodes, rng, depth + 1, max_depth, operands);
+    BuildSubtree(nodes, rng, depth + 1, max_depth, operands, deepest);
 }
 
 }  // namespace
@@ -139,14 +179,16 @@ ScoringEnsemble GenerateEnsemble(std::uint64_t seed, int tree_count,
     std::array<std::vector<ScorerShard::Node>, ScoringEnsemble::kShardCount>
         nodes;
     std::array<std::vector<std::uint32_t>, ScoringEnsemble::kShardCount> roots;
+    std::array<int, ScoringEnsemble::kShardCount> deepest{};
     for (int t = 0; t < tree_count; ++t) {
         const std::size_t s = static_cast<std::size_t>(t / per_shard);
         roots[s].push_back(static_cast<std::uint32_t>(nodes[s].size()));
-        BuildSubtree(nodes[s], rng, 0, max_depth, operands);
+        BuildSubtree(nodes[s], rng, 0, max_depth, operands, deepest[s]);
     }
     std::array<ScorerShard, ScoringEnsemble::kShardCount> shards;
     for (std::size_t s = 0; s < shards.size(); ++s) {
-        shards[s] = ScorerShard(std::move(nodes[s]), std::move(roots[s]));
+        shards[s] = ScorerShard(std::move(nodes[s]), std::move(roots[s]),
+                                deepest[s]);
     }
     return ScoringEnsemble(std::move(shards));
 }

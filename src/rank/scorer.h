@@ -45,6 +45,16 @@ struct DecisionTree {
  * pre-order node array: a split node's left child is the next node and
  * `right` indexes its right child, so a walk touches one contiguous
  * array instead of one allocation per tree.
+ *
+ * The host walks the trees as the chip's parallel tree pipelines do
+ * (Timing::tree_units): kWalkWidth trees at a time, each advanced one
+ * level per step for the shard's deepest root-to-leaf path. A step is
+ * branch-free (integer masks pick the child; a tree already at its
+ * leaf stays there), so no split costs a mispredicted branch. Leaf
+ * values are then added in tree order, and trees past the last full
+ * block take the same steps one at a time, so the float sum is the
+ * one a tree-by-tree walk gives, bit for bit. A NaN feature fails
+ * `value <= threshold` and goes right, as in a tree-by-tree walk.
  */
 class ScorerShard {
   public:
@@ -65,12 +75,21 @@ class ScorerShard {
         std::uint32_t right = 0;  ///< Right child index (split nodes).
     };
 
+    /** Trees walked together by PartialScore. */
+    static constexpr int kWalkWidth = 16;
+
     ScorerShard() = default;
     /** Flatten build-form trees, in order. */
     explicit ScorerShard(const std::vector<DecisionTree>& trees);
-    /** Adopt a flat pre-order array; `roots` holds each tree's first node. */
-    ScorerShard(std::vector<Node> nodes, std::vector<std::uint32_t> roots)
-        : nodes_(std::move(nodes)), roots_(std::move(roots)) {}
+    /**
+     * Adopt a flat pre-order array; `roots` holds each tree's first
+     * node and `max_depth` is the longest root-to-leaf path, in splits.
+     */
+    ScorerShard(std::vector<Node> nodes, std::vector<std::uint32_t> roots,
+                int max_depth)
+        : nodes_(std::move(nodes)),
+          roots_(std::move(roots)),
+          max_depth_(max_depth) {}
 
     /** Partial score: sum of this shard's tree outputs, in tree order. */
     float PartialScore(const FeatureStore& store) const;
@@ -86,12 +105,16 @@ class ScorerShard {
         return static_cast<std::int64_t>(nodes_.size());
     }
     const std::vector<Node>& nodes() const { return nodes_; }
+    const std::vector<std::uint32_t>& roots() const { return roots_; }
+    /** Splits on the longest root-to-leaf path (steps per walk). */
+    int max_depth() const { return max_depth_; }
     Timing& timing() { return timing_; }
     const Timing& timing() const { return timing_; }
 
   private:
     std::vector<Node> nodes_;
     std::vector<std::uint32_t> roots_;  ///< First node of each tree.
+    int max_depth_ = 0;
     Timing timing_;
 };
 

@@ -381,6 +381,38 @@ TEST(Partition, GroupsOpsByLevelAndOpcode) {
     }
 }
 
+TEST(Partition, LoadsEachSlotOncePerStoredVersion) {
+    // Slot kMeta is loaded twice, then stored, then loaded three more
+    // times (once as a whole program). The schedule runs one load per
+    // stored version, and each load keeps its own version's value.
+    constexpr std::uint32_t kMeta = kMetaFeatureBase + 5;
+    FfeCompiler compiler;
+    std::vector<Program> programs;
+    programs.push_back(compiler.Compile(
+        *MakeBinary(OpCode::kAdd, MakeFeature(kMeta), MakeFeature(kMeta)),
+        kFfeOutputBase));
+    programs.push_back(compiler.Compile(*MakeConst(7.0f), kMeta));
+    programs.push_back(compiler.Compile(
+        *MakeBinary(OpCode::kMul, MakeFeature(kMeta), MakeFeature(kMeta)),
+        kFfeOutputBase + 1));
+    programs.push_back(compiler.Compile(*MakeFeature(kMeta),
+                                        kFfeOutputBase + 2));
+
+    const Partition partition(programs);
+    EXPECT_EQ(partition.TotalInstructions(), 3 + 1 + 3 + 1);
+    EXPECT_EQ(partition.scheduled_loads(), 2u);
+    // One register per instruction, less the three repeated loads.
+    EXPECT_EQ(partition.register_image().size(), 8u - 3u);
+
+    FeatureStore store;
+    store.Set(kMeta, 3.0f);
+    const FeatureStore out = RunScheduled(std::move(programs), store);
+    EXPECT_EQ(out.Get(kFfeOutputBase), 6.0f);       // before the store
+    EXPECT_EQ(out.Get(kMeta), 7.0f);
+    EXPECT_EQ(out.Get(kFfeOutputBase + 1), 49.0f);  // after it
+    EXPECT_EQ(out.Get(kFfeOutputBase + 2), 7.0f);
+}
+
 TEST(OpLatencies, ComplexOpsAreLong) {
     const OpLatencies latencies;
     EXPECT_GT(latencies.For(OpCode::kLn), latencies.For(OpCode::kAdd));

@@ -135,17 +135,6 @@ TEST(Rng, GeometricMean) {
     EXPECT_NEAR(sum / n, 9.0, 0.2);
 }
 
-TEST(Rng, WeightedIndexDistribution) {
-    Rng rng(59);
-    std::vector<double> weights = {1.0, 3.0};
-    int ones = 0;
-    const int n = 100'000;
-    for (int i = 0; i < n; ++i) {
-        if (rng.WeightedIndex(weights) == 1) ++ones;
-    }
-    EXPECT_NEAR(static_cast<double>(ones) / n, 0.75, 0.01);
-}
-
 TEST(Rng, ForkIsIndependent) {
     Rng parent(61);
     Rng child = parent.Fork();

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <limits>
+
 #include "rank/scorer.h"
 
 namespace catapult::rank {
@@ -13,6 +19,76 @@ FeatureStore MakeStore(float scale = 1.0f) {
         store.Set(i, scale * static_cast<float>(i % 23));
     }
     return store;
+}
+
+/**
+ * Reference walker: the scalar tree-by-tree walk, one data-dependent
+ * branch per split, summing leaf values in tree order. The shard's
+ * interleaved branch-free walk must match it bit for bit.
+ */
+float ReferencePartialScore(const ScorerShard& shard,
+                            const FeatureStore& store) {
+    const auto& nodes = shard.nodes();
+    float sum = 0.0f;
+    for (const std::uint32_t root : shard.roots()) {
+        std::uint32_t i = root;
+        while (nodes[i].feature != TreeNode::kLeaf) {
+            i = store.Get(nodes[i].feature) <= nodes[i].value ? i + 1
+                                                              : nodes[i].right;
+        }
+        sum += nodes[i].value;
+    }
+    return sum;
+}
+
+/** Splits on the longest root-to-leaf path below flat node `i`. */
+int ReferenceDepth(const std::vector<ScorerShard::Node>& nodes,
+                   std::uint32_t i) {
+    if (nodes[i].feature == TreeNode::kLeaf) return 0;
+    return 1 + std::max(ReferenceDepth(nodes, i + 1),
+                        ReferenceDepth(nodes, nodes[i].right));
+}
+
+/** The walk and the reference agree bit for bit; depth is recorded. */
+void ExpectMatchesReference(const ScorerShard& shard,
+                            const FeatureStore& store) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(shard.PartialScore(store)),
+              std::bit_cast<std::uint32_t>(ReferencePartialScore(shard, store)));
+    int depth = 0;
+    for (const std::uint32_t root : shard.roots()) {
+        depth = std::max(depth, ReferenceDepth(shard.nodes(), root));
+    }
+    EXPECT_EQ(shard.max_depth(), depth);
+}
+
+TreeNode Leaf(float value) {
+    TreeNode node;
+    node.leaf_value = value;
+    return node;
+}
+
+/**
+ * A build-form tree whose split nodes all test `feature` against
+ * `threshold`: a path of `depth` splits that goes left (or right, when
+ * `right_spine`) at every level, with a distinct leaf off each split.
+ */
+DecisionTree SpineTree(int depth, bool right_spine, std::uint32_t feature,
+                       float threshold) {
+    // Split d at 2d, its leaf sibling at 2d + 1, the spine on at 2d + 2.
+    DecisionTree tree;
+    for (int d = 0; d < depth; ++d) {
+        TreeNode split;
+        split.feature = feature;
+        split.threshold = threshold;
+        const std::int32_t sibling = 2 * d + 1;
+        const std::int32_t spine = 2 * d + 2;
+        split.left = right_spine ? sibling : spine;
+        split.right = right_spine ? spine : sibling;
+        tree.nodes.push_back(split);
+        tree.nodes.push_back(Leaf(static_cast<float>(d) + 0.5f));
+    }
+    tree.nodes.push_back(Leaf(-100.0f - static_cast<float>(depth)));
+    return tree;
 }
 
 TEST(DecisionTree, LeafOnlyTree) {
@@ -109,6 +185,129 @@ TEST(ScorerShard, EmptyShardScoresZero) {
     FeatureStore store;
     EXPECT_EQ(shard.PartialScore(store), 0.0f);
     EXPECT_EQ(shard.ModelBytes(), 0);
+}
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+
+/**
+ * A store that sets every split's feature to something the comparison
+ * must get right: the split's own threshold or its float neighbours,
+ * NaN, an infinity, a signed zero, a denormal, or a plain value.
+ */
+FeatureStore AdversarialStore(const ScorerShard& shard, std::uint64_t seed) {
+    constexpr std::array<float, 9> kSpecial = {
+        kNaN, kInf, -kInf, 0.0f, -0.0f,
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(),
+        std::numeric_limits<float>::max(),
+        std::numeric_limits<float>::lowest()};
+    Rng rng(seed);
+    FeatureStore store;
+    for (const ScorerShard::Node& node : shard.nodes()) {
+        if (node.feature == TreeNode::kLeaf) continue;
+        float x = 0.0f;
+        switch (rng.NextBounded(5)) {
+          case 0: x = node.value; break;
+          case 1: x = std::nextafter(node.value, kInf); break;
+          case 2: x = std::nextafter(node.value, -kInf); break;
+          case 3: x = kSpecial[rng.NextBounded(kSpecial.size())]; break;
+          default: x = static_cast<float>(rng.Uniform(-1.0, 17.0)); break;
+        }
+        store.Set(node.feature, x);
+    }
+    return store;
+}
+
+TEST(ScorerShard, WalkMatchesReferenceOnGeneratedEnsembles) {
+    // Tree counts on both sides of multiples of the walk width leave
+    // every shard a tail of single-tree walks; a small operand window
+    // makes many splits share a feature, so one store value meets
+    // several thresholds.
+    for (const int trees : {1, 2, 17, 47, 48, 49, 50, 301}) {
+        for (const int depth : {0, 1, 3, 6, 9}) {
+            const ScoringEnsemble ensemble = GenerateEnsemble(
+                static_cast<std::uint64_t>(trees * 16 + depth), trees, depth,
+                /*operand_budget=*/64);
+            const FeatureStore plain = MakeStore(0.7f);
+            for (int s = 0; s < ScoringEnsemble::kShardCount; ++s) {
+                const ScorerShard& shard = ensemble.shard(s);
+                SCOPED_TRACE(::testing::Message() << "trees " << trees
+                                                  << " depth " << depth
+                                                  << " shard " << s);
+                ExpectMatchesReference(shard, plain);
+                for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+                    ExpectMatchesReference(shard,
+                                           AdversarialStore(shard, seed));
+                }
+            }
+        }
+    }
+    // A production-sized ensemble: 2,000 trees per shard.
+    const ScoringEnsemble production = GenerateEnsemble(42, 6'000);
+    for (int s = 0; s < ScoringEnsemble::kShardCount; ++s) {
+        EXPECT_EQ(production.shard(s).max_depth(), 6);
+        ExpectMatchesReference(production.shard(s), MakeStore());
+        ExpectMatchesReference(production.shard(s),
+                               AdversarialStore(production.shard(s), 7));
+    }
+}
+
+TEST(ScorerShard, WalkMatchesReferenceOnAdversarialTrees) {
+    // 38 trees (two full walk blocks and a tail of 6): empty trees,
+    // single leaves, and left and right spines from 1 to 12 splits, on
+    // thresholds that include signed zeros, infinities and NaN.
+    constexpr std::array<float, 7> kThresholds = {0.0f, -0.0f, 1.0f, kInf,
+                                                  -kInf, kNaN, 3.5f};
+    std::vector<DecisionTree> trees;
+    for (int t = 0; t < 37; ++t) {
+        const auto feature = static_cast<std::uint32_t>(t % 5);
+        const float threshold = kThresholds[static_cast<std::size_t>(t) %
+                                            kThresholds.size()];
+        switch (t % 4) {
+          case 0:
+            trees.push_back(DecisionTree{});
+            break;
+          case 1:
+            trees.push_back(DecisionTree{{Leaf(0.25f * static_cast<float>(t))}});
+            break;
+          default:
+            trees.push_back(SpineTree(1 + t % 12, t % 4 == 3, feature,
+                                      threshold));
+            break;
+        }
+    }
+    trees.push_back(SpineTree(12, false, 2, 1.0f));  // the deepest path
+    const ScorerShard shard(trees);
+    EXPECT_EQ(shard.tree_count(), 38);
+    EXPECT_EQ(shard.max_depth(), 12);
+    constexpr std::array<float, 12> kValues = {
+        kNaN, kInf, -kInf, 0.0f, -0.0f, 1.0f, 3.5f,
+        std::nextafter(1.0f, kInf), std::nextafter(1.0f, -kInf),
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(), 1e30f};
+    for (const float a : kValues) {
+        for (const float b : kValues) {
+            FeatureStore store;
+            for (std::uint32_t f = 0; f < 5; ++f) store.Set(f, f % 2 ? a : b);
+            SCOPED_TRACE(::testing::Message() << "a " << a << " b " << b);
+            ExpectMatchesReference(shard, store);
+        }
+    }
+
+    // One 12-split left spine on feature 2 at threshold 1.0.
+    const ScorerShard spine({SpineTree(12, false, 2, 1.0f)});
+    FeatureStore store;
+    store.Set(2, 1.0f);  // equal to the threshold: left to the bottom
+    EXPECT_EQ(spine.PartialScore(store), -112.0f);
+    store.Set(2, kNaN);  // NaN fails <= and goes right at the root
+    EXPECT_EQ(spine.PartialScore(store), 0.5f);
+    store.Set(2, std::nextafter(1.0f, kInf));
+    EXPECT_EQ(spine.PartialScore(store), 0.5f);
+    // -0.0 <= 0.0: a signed zero goes left.
+    const ScorerShard zero({SpineTree(1, false, 2, 0.0f)});
+    store.Set(2, -0.0f);
+    EXPECT_EQ(zero.PartialScore(store), -101.0f);
 }
 
 }  // namespace
