@@ -93,9 +93,10 @@ const std::vector<std::unique_ptr<rank::Model>>& ProductionModels() {
     return models;
 }
 
-/** One document's inputs to the FFE and scoring kernels. */
+/** One document's inputs to the ranking, FFE and scoring kernels. */
 struct KernelDocument {
     std::size_t model = 0;
+    rank::CompressedRequest request;  ///< The whole host path's input.
     rank::FeatureStore extracted;   ///< FE output: the FFE input.
     rank::FeatureStore compressed;  ///< Compression output: scoring input.
 };
@@ -115,8 +116,8 @@ const std::vector<KernelDocument>& KernelDocuments() {
             KernelDocument& doc = out[d];
             doc.model = d % models.size();
             rank::RankingFunction function(models[doc.model].get());
-            function.ExtractFeatures(generator.WithTargetSize(6'500),
-                                     doc.extracted);
+            doc.request = generator.WithTargetSize(6'500);
+            function.ExtractFeatures(doc.request, doc.extracted);
             rank::FeatureStore store = doc.extracted;
             function.RunFfe0(store);
             function.RunFfe1(store);
@@ -127,10 +128,10 @@ const std::vector<KernelDocument>& KernelDocuments() {
     return documents;
 }
 
-// Both FFE chips' level schedules, one document per iteration in
-// rotation; time per iteration is ns per document. Each document's
-// store is reused in place: re-running the chips over their own output
-// rewrites the same values.
+// Both FFE chips' level schedules (live programs only), one document
+// per iteration in rotation; time per iteration is ns per document.
+// Each document's store is reused in place: re-running the chips over
+// their own output rewrites the same values.
 void BM_FfePartition(benchmark::State& state) {
     const auto& models = ProductionModels();
     std::vector<rank::RankingFunction> functions;
@@ -164,6 +165,24 @@ void BM_EnsembleScore(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EnsembleScore);
+
+// The whole host ranking path, RankingFunction::Score (FE, both FFE
+// chips, the three scorer shards), one document per iteration in
+// rotation; time per iteration is ns per document.
+void BM_RankingScore(benchmark::State& state) {
+    const auto& models = ProductionModels();
+    std::vector<rank::RankingFunction> functions;
+    for (const auto& model : models) functions.emplace_back(model.get());
+    const auto& documents = KernelDocuments();
+    std::size_t next = 0;
+    for (auto _ : state) {
+        const KernelDocument& doc = documents[next];
+        next = (next + 1) % documents.size();
+        benchmark::DoNotOptimize(functions[doc.model].Score(doc.request));
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RankingScore);
 
 void BM_FullFunctionalScore(benchmark::State& state) {
     static const auto model = [] {

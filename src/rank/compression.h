@@ -6,6 +6,12 @@
 // engines consume. Functionally it selects exactly the feature slots
 // the loaded model's trees reference (everything else need not cross
 // the link); numerically it is the identity on those slots.
+//
+// On the host that identity is what the functional path relies on:
+// RankingFunction::Score scores the FFE output store directly, and
+// Model::Generate seeds FFE liveness from operand_slots(). Apply runs
+// only on the stage-wise path (perfbench's score replay, the
+// micro-benchmarks and the tests).
 
 #pragma once
 
@@ -46,6 +52,11 @@ class CompressionStage {
     Time ServiceTime() const;
 
     std::size_t operand_count() const { return operand_slots_.size(); }
+
+    /** The referenced feature slots, ascending. */
+    const std::vector<std::uint32_t>& operand_slots() const {
+        return operand_slots_;
+    }
 
     /**
      * Output payload bytes per document: the operand set packed to

@@ -47,14 +47,24 @@ const std::uint32_t* Binary(float* d, const float* r, const std::uint32_t* o,
 
 }  // namespace
 
-Partition::Partition(std::vector<Program> programs)
+Partition::Partition(std::vector<Program> programs,
+                     const std::vector<bool>& live)
     : programs_(std::move(programs)) {
-    // Scheduled op ids: instructions in program order [0, n_instr), then
-    // one output store per program. Sources are rebased to op ids.
+    assert(live.empty() || live.size() == programs_.size());
+    // Only live programs are lowered. Op ids: their instructions in
+    // program order [0, n_instr), then one output store per lowered
+    // program. Sources are rebased to op ids.
+    std::vector<std::size_t> lowered;
     std::size_t n_instr = 0;
-    for (const Program& p : programs_) n_instr += p.instructions.size();
-    total_instructions_ = static_cast<std::int64_t>(n_instr);
-    const std::size_t n_ops = n_instr + programs_.size();
+    for (std::size_t p = 0; p < programs_.size(); ++p) {
+        total_instructions_ +=
+            static_cast<std::int64_t>(programs_[p].instructions.size());
+        if (!live.empty() && !live[p]) continue;
+        lowered.push_back(p);
+        n_instr += programs_[p].instructions.size();
+    }
+    live_programs_ = lowered.size();
+    const std::size_t n_ops = n_instr + lowered.size();
 
     std::vector<Instruction> ops;
     ops.reserve(n_instr);
@@ -65,6 +75,8 @@ Partition::Partition(std::vector<Program> programs)
     // yet), and the op whose register holds each instruction's value.
     std::vector<std::int32_t> slot_load(kFeatureUniverse, -1);
     std::vector<std::uint32_t> value(n_instr);
+    // The op whose register holds each lowered program's result.
+    std::vector<std::uint32_t> root(lowered.size());
     std::uint32_t repeated_loads = 0;
     std::int32_t max_level = 0;
 
@@ -77,8 +89,8 @@ Partition::Partition(std::vector<Program> programs)
     //    slot already loaded since its last store would read the same
     //    value: it is not scheduled, and its readers use the first
     //    load's register instead.
-    for (std::size_t p = 0; p < programs_.size(); ++p) {
-        const Program& program = programs_[p];
+    for (std::size_t k = 0; k < lowered.size(); ++k) {
+        const Program& program = programs_[lowered[k]];
         assert(!program.instructions.empty());
         const auto base = static_cast<std::uint32_t>(ops.size());
         for (Instruction instr : program.instructions) {
@@ -111,11 +123,11 @@ Partition::Partition(std::vector<Program> programs)
             max_level = std::max(max_level, lv);
             ops.push_back(instr);
         }
-        const std::size_t id = n_instr + p;
+        const std::size_t id = n_instr + k;
         const std::uint32_t slot = program.output_slot;
         assert(slot < kFeatureUniverse);
-        level[id] =
-            std::max(level[value[ops.size() - 1]], last_store[slot]) + 1;
+        root[k] = value[ops.size() - 1];
+        level[id] = std::max(level[root[k]], last_store[slot]) + 1;
         kind[id] = kStoreKind;
         last_store[slot] = level[id];
         slot_load[slot] = -1;
@@ -156,12 +168,6 @@ Partition::Partition(std::vector<Program> programs)
     assert(next == register_image_.size());
 
     // 4. Batches and packed operands.
-    std::vector<std::uint32_t> root(programs_.size());
-    std::uint32_t end = 0;
-    for (std::size_t p = 0; p < programs_.size(); ++p) {
-        end += static_cast<std::uint32_t>(programs_[p].instructions.size());
-        root[p] = value[end - 1];
-    }
     std::int64_t current_key = -1;
     for (const std::uint32_t id : order) {
         const std::int64_t key =
@@ -175,9 +181,9 @@ Partition::Partition(std::vector<Program> programs)
         }
         ++batches_.back().count;
         if (id >= n_instr) {
-            const std::size_t p = id - n_instr;
-            operands_.push_back(reg[root[p]]);
-            operands_.push_back(programs_[p].output_slot);
+            const std::size_t k = id - n_instr;
+            operands_.push_back(reg[root[k]]);
+            operands_.push_back(programs_[lowered[k]].output_slot);
             continue;
         }
         const Instruction& instr = ops[id];
@@ -269,6 +275,22 @@ void Partition::Execute(FeatureStore& store,
             break;
         }
     }
+}
+
+std::vector<bool> MarkLivePrograms(const std::vector<Program>& programs,
+                                   std::vector<bool>& needed) {
+    assert(needed.size() == kFeatureUniverse);
+    std::vector<bool> live(programs.size(), false);
+    for (std::size_t p = programs.size(); p-- > 0;) {
+        const Program& program = programs[p];
+        if (!needed[program.output_slot]) continue;
+        live[p] = true;
+        needed[program.output_slot] = false;
+        for (const Instruction& instr : program.instructions) {
+            if (instr.op == OpCode::kLoadFeature) needed[instr.feature] = true;
+        }
+    }
+    return live;
 }
 
 }  // namespace catapult::rank::ffe

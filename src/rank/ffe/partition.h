@@ -19,9 +19,16 @@
 //     the programs keep every load, so the chip's instruction counts
 //     and timing are unchanged;
 //   * ops are grouped by (level, opcode) with a counting sort, and each
-//     group runs as one branch-free loop.
+//     group runs as one branch-free loop;
+//   * only live programs are lowered. Model::Generate marks a program
+//     live when its output can reach a slot the scoring trees read
+//     (MarkLivePrograms, walking FFE1 and then FFE0 backward from the
+//     compression operands); a dead program's value is never read, so
+//     it is not scheduled. programs(), the instruction count and the
+//     chip timing derived from them still cover every program.
 // Every op computes the same scalar float function of the same operand
-// values as direct AST evaluation, so results are bit-identical.
+// values as direct AST evaluation, so results are bit-identical on
+// every slot a live program writes.
 //
 // A Partition is immutable after construction and is shared by every
 // processor that loads the model; the register scratch belongs to the
@@ -40,7 +47,12 @@ namespace catapult::rank::ffe {
 class Partition {
   public:
     Partition() = default;
-    explicit Partition(std::vector<Program> programs);
+    /**
+     * Lower `programs`. `live[p]` says whether program p is scheduled;
+     * an empty mask schedules every program.
+     */
+    explicit Partition(std::vector<Program> programs,
+                       const std::vector<bool>& live = {});
 
     /** The compiled programs, in the order the chip runs them. */
     const std::vector<Program>& programs() const { return programs_; }
@@ -56,9 +68,13 @@ class Partition {
         return register_image_;
     }
 
+    /** Programs the schedule runs (the live ones). */
+    std::size_t live_programs() const { return live_programs_; }
+
     /**
-     * Run every program against `store`, writing each result to its
-     * output FST slot. `registers` must hold a copy of register_image().
+     * Run every live program against `store`, writing each result to
+     * its output FST slot. `registers` must hold a copy of
+     * register_image().
      */
     void Execute(FeatureStore& store, std::vector<float>& registers) const;
 
@@ -81,6 +97,7 @@ class Partition {
 
     std::vector<Program> programs_;
     std::int64_t total_instructions_ = 0;
+    std::size_t live_programs_ = 0;
     std::vector<float> register_image_;
     std::vector<Batch> batches_;
     /**
@@ -91,5 +108,17 @@ class Partition {
      */
     std::vector<std::uint32_t> operands_;
 };
+
+/**
+ * Backward liveness over one chip's programs, in reverse program order:
+ * a program is live iff its output slot is in `needed` (indexed by FST
+ * slot) when the walk reaches it. A live program removes its output
+ * slot, since an earlier writer of that slot is overwritten before any
+ * later read, and then adds every slot it loads. On return `needed`
+ * holds the slots the programs read before writing them, which seeds
+ * the walk over the upstream chip.
+ */
+std::vector<bool> MarkLivePrograms(const std::vector<Program>& programs,
+                                   std::vector<bool>& needed);
 
 }  // namespace catapult::rank::ffe

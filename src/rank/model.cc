@@ -93,7 +93,13 @@ std::unique_ptr<Model> Model::Generate(std::uint32_t model_id,
     const std::uint64_t model_seed =
         seed ^ (static_cast<std::uint64_t>(model_id) * 0xD1B54A32D192ED03ull);
 
-    // 1. Generate the expression set (the software-reference ASTs).
+    // 1. Scoring ensemble + compression stage programming. The ensemble
+    //    draws from its own RNG; its operand slots seed FFE liveness.
+    model->ensemble_ =
+        GenerateEnsemble(model_seed, config.tree_count, config.tree_depth);
+    model->compression_.ProgramForModel(model->ensemble_);
+
+    // 2. Generate the expression set (the software-reference ASTs).
     ffe::ExpressionGenerator generator(model_seed, config.expressions);
     model->expressions_.reserve(
         static_cast<std::size_t>(config.expression_count));
@@ -102,7 +108,7 @@ std::unique_ptr<Model> Model::Generate(std::uint32_t model_id,
         model->total_ffe_ops_ += model->expressions_.back()->OpCount();
     }
 
-    // 2. Compile: split oversized expressions across the two FFE chips
+    // 3. Compile: split oversized expressions across the two FFE chips
     //    via metafeatures (§4.5), then partition the remaining work.
     ffe::FfeCompiler compiler(config.compiler);
     std::uint32_t next_meta_slot = 0;
@@ -151,8 +157,16 @@ std::unique_ptr<Model> Model::Generate(std::uint32_t model_id,
             ffe0.push_back(std::move(program));
         }
     }
-    model->ffe0_ = ffe::Partition(std::move(ffe0));
-    model->ffe1_ = ffe::Partition(std::move(ffe1));
+    // Lower only the programs whose output reaches a tree operand:
+    // walk FFE1, then FFE0, backward from the compression operands.
+    std::vector<bool> needed(kFeatureUniverse, false);
+    for (const std::uint32_t slot : model->compression_.operand_slots()) {
+        needed[slot] = true;
+    }
+    const std::vector<bool> live1 = ffe::MarkLivePrograms(ffe1, needed);
+    const std::vector<bool> live0 = ffe::MarkLivePrograms(ffe0, needed);
+    model->ffe0_ = ffe::Partition(std::move(ffe0), live0);
+    model->ffe1_ = ffe::Partition(std::move(ffe1), live1);
     // Each chip's per-document time under the default processor config,
     // the one RankingFunction loads.
     ffe::FfeProcessor processor;
@@ -160,11 +174,6 @@ std::unique_ptr<Model> Model::Generate(std::uint32_t model_id,
     model->ffe0_service_time_ = processor.DocumentServiceTime();
     processor.Load(model->ffe1_);
     model->ffe1_service_time_ = processor.DocumentServiceTime();
-
-    // 3. Scoring ensemble + compression stage programming.
-    model->ensemble_ =
-        GenerateEnsemble(model_seed, config.tree_count, config.tree_depth);
-    model->compression_.ProgramForModel(model->ensemble_);
     return model;
 }
 

@@ -76,7 +76,9 @@ class Model {
 
     /**
      * The two FFE chips' partitions, lowered once here and shared by
-     * every RankingFunction (every ring) that loads this model.
+     * every RankingFunction (every ring) that loads this model. Each
+     * schedules only the programs whose output reaches a tree operand;
+     * programs() holds all of them.
      */
     const ffe::Partition& ffe0() const { return ffe0_; }
     const ffe::Partition& ffe1() const { return ffe1_; }

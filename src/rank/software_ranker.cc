@@ -21,9 +21,8 @@ float RankingFunction::Score(const CompressedRequest& request) {
     ExtractFeatures(request, scratch_);
     RunFfe0(scratch_);
     RunFfe1(scratch_);
-    compressed_.Clear();
-    Compress(scratch_, compressed_);
-    return FinalScore(compressed_);
+    // Compression is the identity on every slot the trees read.
+    return FinalScore(scratch_);
 }
 
 float RankingFunction::ReferenceScore(const CompressedRequest& request) {
@@ -36,9 +35,7 @@ float RankingFunction::ReferenceScore(const CompressedRequest& request) {
             kFfeOutputBase + static_cast<std::uint32_t>(i) % kFfeOutputSlots;
         scratch_.Set(slot, expressions[i]->Evaluate(scratch_));
     }
-    compressed_.Clear();
-    Compress(scratch_, compressed_);
-    return FinalScore(compressed_);
+    return FinalScore(scratch_);
 }
 
 CpuPool::CpuPool(sim::Simulator* simulator, Rng rng, Config config)

@@ -12,8 +12,10 @@
 // feature-extraction pass, the same compiled-FFE semantics, the same
 // ensemble. The simulated FPGA ring scores each answered document with
 // one Score call (its stage roles model timing only), so FPGA and
-// software scores are identical (§4). The stage-wise API serves the
-// score replay in perfbench, the micro-benchmarks and the tests.
+// software scores are identical (§4). Score skips the compression copy
+// (the trees read only slots compression passes through unchanged);
+// the stage-wise API, Compress included, serves the score replay in
+// perfbench, the micro-benchmarks and the tests.
 
 #pragma once
 
@@ -37,10 +39,20 @@ class RankingFunction {
   public:
     explicit RankingFunction(const Model* model);
 
-    /** Score one request end-to-end (FE -> FFE0 -> FFE1 -> Comp -> Score). */
+    /**
+     * Score one request end-to-end (FE -> FFE0 -> FFE1 -> Score). The
+     * trees read the FFE output store directly: compression is the
+     * identity on the slots they read, so skipping its copy leaves the
+     * score's bits unchanged.
+     */
     float Score(const CompressedRequest& request);
 
-    /** Stage-wise access, for per-stage replay and measurement. */
+    /**
+     * Stage-wise access, for per-stage replay and measurement; only
+     * this path runs Compress. RunFfe0/RunFfe1 run the live programs
+     * alone: every slot the trees read gets its value, and a slot that
+     * only dead programs write keeps what FE left there.
+     */
     void ExtractFeatures(const CompressedRequest& request, FeatureStore& store);
     void RunFfe0(FeatureStore& store) { ffe0_.ExecuteAll(store); }
     void RunFfe1(FeatureStore& store) { ffe1_.ExecuteAll(store); }
@@ -69,7 +81,6 @@ class RankingFunction {
     ffe::FfeProcessor ffe0_;
     ffe::FfeProcessor ffe1_;
     FeatureStore scratch_;
-    FeatureStore compressed_;
 };
 
 /**

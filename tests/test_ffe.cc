@@ -413,6 +413,96 @@ TEST(Partition, LoadsEachSlotOncePerStoredVersion) {
     EXPECT_EQ(out.Get(kFfeOutputBase + 2), 7.0f);
 }
 
+TEST(Partition, LiveMaskSchedulesOnlyLivePrograms) {
+    // FFE0: producer kMeta, producer kMeta+1 (reads kMeta), a program
+    // whose slot nobody reads, and two writers of kMeta+2 (the first is
+    // overwritten before any read). FFE1: the consumer (reads kMeta+1
+    // and kMeta+2), whose slot alone is needed, and an unread program.
+    constexpr std::uint32_t kMeta = kMetaFeatureBase;
+    constexpr std::uint32_t kOut = kFfeOutputBase;
+    FfeCompiler compiler;
+    const auto add = [](std::uint32_t a, ExprPtr b) {
+        return MakeBinary(OpCode::kAdd, MakeFeature(a), std::move(b));
+    };
+    std::vector<Program> ffe0;
+    ffe0.push_back(compiler.Compile(*add(3, MakeConst(1.0f)), kMeta));
+    ffe0.push_back(compiler.Compile(*add(kMeta, MakeFeature(6)), kMeta + 1));
+    ffe0.push_back(compiler.Compile(*add(9, MakeConst(3.0f)), kOut + 1));
+    ffe0.push_back(compiler.Compile(*add(12, MakeConst(2.0f)), kMeta + 2));
+    ffe0.push_back(compiler.Compile(*add(15, MakeConst(5.0f)), kMeta + 2));
+    std::vector<Program> ffe1;
+    ffe1.push_back(compiler.Compile(
+        *MakeBinary(OpCode::kSub, MakeFeature(kMeta + 1),
+                    MakeFeature(kMeta + 2)),
+        kOut));
+    ffe1.push_back(compiler.Compile(*add(18, MakeFeature(18)), kOut + 2));
+
+    std::vector<bool> needed(kFeatureUniverse, false);
+    needed[kOut] = true;
+    const std::vector<bool> live1 = MarkLivePrograms(ffe1, needed);
+    const std::vector<bool> live0 = MarkLivePrograms(ffe0, needed);
+    EXPECT_EQ(live1, (std::vector<bool>{true, false}));
+    EXPECT_EQ(live0, (std::vector<bool>{true, true, false, false, true}));
+    // Left needed: the FE features the live chain reads.
+    for (std::uint32_t slot = 0; slot < kFeatureUniverse; ++slot) {
+        EXPECT_EQ(needed[slot], slot == 3 || slot == 6 || slot == 15)
+            << "slot " << slot;
+    }
+
+    // A pruned partition schedules exactly what a partition of its live
+    // programs alone schedules, while its programs, instruction count
+    // and chip timing stay those of every program.
+    const auto check = [](const std::vector<Program>& programs,
+                          const std::vector<bool>& live,
+                          std::size_t live_loads, std::size_t all_loads) {
+        const Partition pruned(programs, live);
+        const Partition all(programs);
+        std::vector<Program> live_programs;
+        for (std::size_t p = 0; p < programs.size(); ++p) {
+            if (live[p]) live_programs.push_back(programs[p]);
+        }
+        const Partition only(std::move(live_programs));
+        EXPECT_EQ(pruned.live_programs(), only.programs().size());
+        EXPECT_EQ(all.live_programs(), programs.size());
+        EXPECT_EQ(pruned.scheduled_loads(), live_loads);
+        EXPECT_EQ(all.scheduled_loads(), all_loads);
+        EXPECT_EQ(only.scheduled_loads(), live_loads);
+        EXPECT_EQ(pruned.batch_count(), only.batch_count());
+        EXPECT_EQ(pruned.register_image(), only.register_image());
+        EXPECT_EQ(pruned.programs().size(), programs.size());
+        EXPECT_EQ(pruned.TotalInstructions(), all.TotalInstructions());
+        FfeProcessor a;
+        a.Load(pruned);
+        FfeProcessor b;
+        b.Load(all);
+        EXPECT_EQ(a.DocumentCycles(), b.DocumentCycles());
+    };
+    check(ffe0, live0, 4, 6);  // features 3, 6, 15 and kMeta; + 9, 12
+    check(ffe1, live1, 2, 3);  // kMeta+1, kMeta+2; + 18 (loaded once)
+
+    // The needed slot gets the unpruned value; unread slots keep their
+    // input.
+    const auto run = [](const std::vector<Program>& programs,
+                        const std::vector<bool>& live, FeatureStore& store) {
+        const Partition partition(programs, live);
+        std::vector<float> registers = partition.register_image();
+        partition.Execute(store, registers);
+    };
+    const FeatureStore store = MakeStore();
+    FeatureStore full = store;
+    run(ffe0, {}, full);
+    run(ffe1, {}, full);
+    FeatureStore pruned = store;
+    run(ffe0, live0, pruned);
+    run(ffe1, live1, pruned);
+    const float meta1 = (store.Get(3) + 1.0f) + store.Get(6);
+    EXPECT_EQ(full.Get(kOut), meta1 - (store.Get(15) + 5.0f));
+    EXPECT_EQ(pruned.Get(kOut), full.Get(kOut));
+    EXPECT_EQ(full.Get(kOut + 1), store.Get(9) + 3.0f);
+    EXPECT_EQ(pruned.Get(kOut + 1), store.Get(kOut + 1));
+    EXPECT_EQ(pruned.Get(kOut + 2), store.Get(kOut + 2));
+}
+
 TEST(OpLatencies, ComplexOpsAreLong) {
     const OpLatencies latencies;
     EXPECT_GT(latencies.For(OpCode::kLn), latencies.For(OpCode::kAdd));

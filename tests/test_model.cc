@@ -121,23 +121,55 @@ TEST(Model, ScheduledFfeMatchesStagedAst) {
     }
     EXPECT_GT(chained_parts, 0) << "no FFE0 producer -> producer chain";
 
+    // The model's partitions lower only live programs, so the lowering
+    // of every program is checked on unpruned partitions of the same
+    // programs.
+    const ffe::Partition all0(model->ffe0().programs());
+    const ffe::Partition all1(model->ffe1().programs());
     FeatureStore scheduled = input;
     ffe::FfeProcessor ffe0;
-    ffe0.Load(model->ffe0());
+    ffe0.Load(all0);
     ffe0.ExecuteAll(scheduled);
-    for (const auto& program : model->ffe0().programs()) {
+    for (const auto& program : all0.programs()) {
         EXPECT_TRUE(SameBits(scheduled.Get(program.output_slot),
                              staged.Get(program.output_slot)))
             << "FFE0 slot " << program.output_slot;
     }
     ffe::FfeProcessor ffe1;
-    ffe1.Load(model->ffe1());
+    ffe1.Load(all1);
     ffe1.ExecuteAll(scheduled);
-    for (const auto& program : model->ffe1().programs()) {
+    for (const auto& program : all1.programs()) {
         EXPECT_TRUE(SameBits(scheduled.Get(program.output_slot),
                              staged.Get(program.output_slot)))
             << "FFE1 slot " << program.output_slot;
     }
+
+    // The pruned partitions write the same bits on every slot the trees
+    // read.
+    FeatureStore pruned = input;
+    ffe0.Load(model->ffe0());
+    ffe0.ExecuteAll(pruned);
+    ffe1.Load(model->ffe1());
+    ffe1.ExecuteAll(pruned);
+    EXPECT_LT(model->ffe0().live_programs() + model->ffe1().live_programs(),
+              all0.programs().size() + all1.programs().size());
+    for (const std::uint32_t slot : model->compression().operand_slots()) {
+        EXPECT_TRUE(SameBits(pruned.Get(slot), staged.Get(slot)))
+            << "operand slot " << slot;
+    }
+}
+
+TEST(Model, LiveSetIsPinned) {
+    // Programs whose output reaches a tree operand, and the loads their
+    // schedule runs, recorded when the backward liveness pass was
+    // introduced. programs() still holds every program.
+    const auto model = Model::Generate(0, 42);
+    EXPECT_EQ(model->ffe0().programs().size(), 1'008u);
+    EXPECT_EQ(model->ffe1().programs().size(), 1'263u);
+    EXPECT_EQ(model->ffe0().live_programs(), 225u);
+    EXPECT_EQ(model->ffe1().live_programs(), 349u);
+    EXPECT_EQ(model->ffe0().scheduled_loads(), 2'648u);
+    EXPECT_EQ(model->ffe1().scheduled_loads(), 3'134u);
 }
 
 TEST(Model, ProductionSplitAndTimingArePinned) {
